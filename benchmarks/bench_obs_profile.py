@@ -73,7 +73,8 @@ def bench_obs_profile(benchmark, capsys, scale):
         "profile": profile_to_dict(root),
         "metrics": snapshot["metrics"],
     }
-    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
     with capsys.disabled():
         print()

@@ -204,6 +204,23 @@ class LinearProgram:
         master LP, whose constraint rows are zone-local and would be
         ~99% explicit zeros at 100x room sizes.
         """
+        self._add_sparse_rows(rows, rhs, self._ub_rows, self._ub_cols,
+                              self._ub_vals, self._b_ub)
+
+    def add_sparse_eq_rows(self, rows: "sparse.spmatrix",
+                           rhs: np.ndarray) -> None:
+        """Add many ``==`` rows given as a scipy sparse matrix.
+
+        The equality twin of :meth:`add_sparse_le_rows`; the triplets
+        keep the COO order of ``rows``, so a block assembled here equals
+        the same rows added one :meth:`add_eq_constraint` call at a time.
+        """
+        self._add_sparse_rows(rows, rhs, self._eq_rows, self._eq_cols,
+                              self._eq_vals, self._b_eq)
+
+    def _add_sparse_rows(self, rows: "sparse.spmatrix", rhs: np.ndarray,
+                         row_idx: list[int], col_idx: list[int],
+                         vals: list[float], b: list[float]) -> None:
         coo = sparse.coo_matrix(rows)
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         if coo.shape[0] != rhs.shape[0]:
@@ -211,12 +228,12 @@ class LinearProgram:
         if coo.shape[1] != self._num_vars:
             raise ValueError(
                 f"row width {coo.shape[1]} != variable count {self._num_vars}")
-        base = len(self._b_ub)
+        base = len(b)
         keep = coo.data != 0.0
-        self._ub_rows.extend((coo.row[keep] + base).tolist())
-        self._ub_cols.extend(coo.col[keep].tolist())
-        self._ub_vals.extend(coo.data[keep].tolist())
-        self._b_ub.extend(rhs.tolist())
+        row_idx.extend((coo.row[keep] + base).tolist())
+        col_idx.extend(coo.col[keep].tolist())
+        vals.extend(coo.data[keep].tolist())
+        b.extend(rhs.tolist())
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:

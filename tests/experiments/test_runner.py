@@ -1,8 +1,14 @@
 """Tests for repro.experiments.runner — comparison runs and CIs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.generator import generate_scenario
 from repro.experiments.runner import (DegenerateBaselineError, RunResult,
@@ -10,6 +16,20 @@ from repro.experiments.runner import (DegenerateBaselineError, RunResult,
                                       run_simulation_set)
 
 SMALL = ScenarioConfig(name="tiny", n_nodes=15, n_crac=3)
+
+
+def test_entry_points_do_not_import_scipy_stats():
+    """scipy.stats is imported only by :func:`confidence_interval`, so
+    the solve, serve and control entry points load without it."""
+    code = ("import sys\n"
+            "import repro.core.api, repro.experiments.runner\n"
+            "import repro.experiments.control, repro.serve\n"
+            "print('scipy.stats' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfidenceInterval:

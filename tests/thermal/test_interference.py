@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.datacenter.builder import build_datacenter
+from repro.datacenter.layout import TABLE_II_RANGES, hot_aisle_split_matrix
+from repro.optimize.linprog import InfeasibleError, LinearProgram
+from repro.thermal import interference
 from repro.thermal.heatflow import HeatFlowModel
 from repro.thermal.interference import (attach_thermal_model,
                                         exit_coefficients, generate_alpha,
@@ -99,3 +102,107 @@ class TestAttach:
         p = room.node_power_kw(room.all_p0_pstates())
         state = model.steady_state(np.full(room.n_crac, 15.0), p)
         assert state.crac_heat_kw.sum() == pytest.approx(p.sum(), rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the Appendix B LP as first written — one dict per row, and a
+# flow-balance row for every destination, the implied last one included.
+def _oracle_lp(dc, objective, ranges, m_split):
+    n_crac, n = dc.n_crac, dc.n_units
+    flows = dc.unit_flows
+    lp = LinearProgram(name="interference-oracle")
+    lp.add_variables(n * n, lb=0.0, ub=1.0, objective=objective)
+    for i in range(n):
+        lp.add_eq_constraint({i * n + j: 1.0 for j in range(n)}, 1.0)
+    for j in range(n):
+        lp.add_eq_constraint({i * n + j: float(flows[i]) for i in range(n)},
+                             float(flows[j]))
+    for node in dc.nodes:
+        r = ranges[node.label]
+        u = n_crac + node.index
+        for j in range(n_crac):
+            frac = float(m_split[node.hot_aisle, j])
+            lp.set_bounds(u * n + j, r.ec_min * frac, r.ec_max * frac)
+    for node in dc.nodes:
+        r = ranges[node.label]
+        dest = n_crac + node.index
+        coeffs = {(n_crac + i) * n + dest: float(flows[n_crac + i])
+                  for i in range(dc.n_nodes)}
+        lp.add_le_constraint(dict(coeffs), r.rc_max * float(flows[dest]))
+        lp.add_ge_constraint(dict(coeffs), r.rc_min * float(flows[dest]))
+    alpha = np.clip(lp.solve().x.reshape(n, n), 0.0, None)
+    return alpha / alpha.sum(axis=1, keepdims=True)
+
+
+def _oracle_alpha(dc, seed):
+    m_split = hot_aisle_split_matrix(dc.n_crac, 0.7)
+    objective = np.random.default_rng(seed).uniform(
+        0.0, 1.0, size=dc.n_units ** 2)
+    margin = 0.0
+    while True:
+        ranges = TABLE_II_RANGES if margin == 0.0 \
+            else interference._widen(TABLE_II_RANGES, margin)
+        try:
+            return _oracle_lp(dc, objective, ranges, m_split)
+        except InfeasibleError:
+            margin += 0.05
+            assert margin <= 0.25 + 1e-9
+
+
+def _assembled_lp(dc, seed, monkeypatch):
+    """The LinearProgram ``generate_alpha`` builds (its feasible try)."""
+    built = []
+
+    class Recording(LinearProgram):
+        def solve(self, **kwargs):
+            built.append(self)
+            return super().solve(**kwargs)
+
+    monkeypatch.setattr(interference, "LinearProgram", Recording)
+    alpha = generate_alpha(dc, rng=np.random.default_rng(seed))
+    return built[-1], alpha
+
+
+class TestAssembly:
+    @pytest.fixture
+    def tiny(self):
+        return build_datacenter(n_nodes=10, n_crac=2,
+                                rng=np.random.default_rng(8))
+
+    def test_equality_block_has_full_row_rank(self, tiny, monkeypatch):
+        lp, _ = _assembled_lp(tiny, 0, monkeypatch)
+        n = tiny.n_units
+        a_eq = np.zeros((len(lp._b_eq), n * n))
+        np.add.at(a_eq, (lp._eq_rows, lp._eq_cols), lp._eq_vals)
+        # n row sums + n - 1 flow balances: the last balance is implied
+        assert a_eq.shape[0] == 2 * n - 1
+        assert np.linalg.matrix_rank(a_eq) == 2 * n - 1
+        implied = np.zeros(n * n)
+        implied[np.arange(n) * n + n - 1] = tiny.unit_flows
+        assert np.linalg.matrix_rank(np.vstack([a_eq, implied])) == 2 * n - 1
+
+    @pytest.mark.parametrize("n_nodes, seed", [(30, 0), (24, 5)])
+    def test_all_flow_balances_hold(self, n_nodes, seed):
+        """Every destination's inflow matches its flow, the one whose row
+        the LP omits included."""
+        dc = build_datacenter(n_nodes=n_nodes, n_crac=3,
+                              rng=np.random.default_rng(seed))
+        alpha = generate_alpha(dc, rng=np.random.default_rng(seed))
+        flows = dc.unit_flows
+        np.testing.assert_allclose(alpha.T @ flows, flows, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_nodes, n_crac, room_seed, seed", [
+        (10, 2, 8, 0),
+        (30, 3, 42, 1),
+        (30, 3, 42, 2),
+        (45, 4, 3, 9),
+        # the partial-rack room of test_unbalanced_room_uses_relaxation
+        (24, 3, 5, 5),
+    ])
+    def test_matches_full_rank_deficient_oracle(self, n_nodes, n_crac,
+                                                room_seed, seed):
+        dc = build_datacenter(n_nodes=n_nodes, n_crac=n_crac,
+                              rng=np.random.default_rng(room_seed))
+        alpha = generate_alpha(dc, rng=np.random.default_rng(seed))
+        np.testing.assert_allclose(alpha, _oracle_alpha(dc, seed),
+                                   rtol=0, atol=1e-12)
