@@ -135,7 +135,8 @@ def bench_kernels(benchmark, capsys, scale):
         "paper10x": _bench_room(1500, 2013),
     }
     doc = {"schema": 1, "reps": REPS, "rooms": rooms}
-    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
     # keep pytest-benchmark's machinery engaged (one cheap round)
     fig6_dc, fig6_arrs = _room(150, 2012)

@@ -61,7 +61,8 @@ def bench_mpc(benchmark, capsys, scale):
             "mpc_precools": mpc.precools,
         },
     }
-    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
     # keep pytest-benchmark's machinery engaged (one cheap round)
     small = ControlConfig(n_nodes=6, seed=1, horizon_s=60.0, epoch_s=30.0)

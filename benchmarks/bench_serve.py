@@ -123,7 +123,8 @@ def _bench_room(n_nodes: int, seed: int) -> dict:
 def bench_serve(benchmark, capsys, scale):
     fig6 = _bench_room(150, 2012)
     doc = {"schema": 1, "reps": REPS, "fig6": fig6}
-    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
     # keep pytest-benchmark's machinery engaged (one cheap round)
     dc, workload, cap = _room(30, 2012)

@@ -144,7 +144,8 @@ def bench_sparse(benchmark, capsys, scale):
     build = _bench_build(1500, 2013)
     doc = {"schema": 1, "scale": scale.name, "build": build,
            "replan": replan}
-    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
     # keep pytest-benchmark's machinery engaged (one cheap round)
     small = build_datacenter(n_nodes=60, n_crac=3,

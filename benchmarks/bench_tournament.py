@@ -47,7 +47,8 @@ def bench_tournament(benchmark, capsys, scale):
         "max_evals": MAX_EVALS,
         "points": [p.to_dict() for p in points],
     }
-    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
     # keep pytest-benchmark's machinery engaged (one cheap re-race of the
     # cheapest backend)

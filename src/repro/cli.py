@@ -71,19 +71,6 @@ def _trace_out_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _kernel_parent() -> argparse.ArgumentParser:
-    """``--kernel`` (numeric kernel selection)."""
-    from repro import kernels
-
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--kernel", choices=kernels.available_kernels(),
-                   default=kernels.DEFAULT_KERNEL,
-                   help="numeric kernel for the solver hot loops "
-                        "(see docs/KERNELS.md; default "
-                        f"{kernels.DEFAULT_KERNEL})")
-    return p
-
-
 def _thermal_parent() -> argparse.ArgumentParser:
     """``--thermal-backend`` (heat-flow linear-algebra backend)."""
     p = argparse.ArgumentParser(add_help=False)
@@ -112,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     engine = _engine_parent()
     trace_out = _trace_out_parent()
-    kernel = _kernel_parent()
     thermal = _thermal_parent()
     json_flag = _json_parent()
 
@@ -121,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="P-state-0 static power fraction "
                                "(default 0.3)")
 
-    p_cmp = sub.add_parser("compare", parents=[kernel, thermal],
+    p_cmp = sub.add_parser("compare", parents=[thermal],
                            help="compare techniques on one random room")
     p_cmp.add_argument("--nodes", type=int, default=30)
     p_cmp.add_argument("--seed", type=int, default=1)
@@ -129,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=(1, 2, 3), help="paper simulation set")
 
     p_fig6 = sub.add_parser("fig6",
-                            parents=[engine, kernel, thermal, trace_out],
+                            parents=[engine, thermal, trace_out],
                             help="run the Figure 6 experiment")
     p_fig6.add_argument("--runs", type=int, default=5,
                         help="simulation runs per set (paper: 25)")
@@ -140,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the bar series to this CSV file")
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[engine, kernel, trace_out],
+        "sweep", parents=[engine, trace_out],
         help="capacity planning: reward vs power cap")
     p_sweep.add_argument("--nodes", type=int, default=25)
     p_sweep.add_argument("--seed", type=int, default=4)
@@ -148,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", type=str, default=None,
                          help="also write the curve to this CSV file")
 
-    p_sim = sub.add_parser("simulate", parents=[kernel, trace_out, json_flag],
+    p_sim = sub.add_parser("simulate", parents=[trace_out, json_flag],
                            help="first step + DES second step on one room")
     p_sim.add_argument("--nodes", type=int, default=20)
     p_sim.add_argument("--seed", type=int, default=1)
@@ -169,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mpc forecast provider (default oracle)")
 
     p_serve = sub.add_parser(
-        "serve", parents=[kernel, trace_out, json_flag],
+        "serve", parents=[trace_out, json_flag],
         help="live rolling-horizon control service on a streaming trace")
     p_serve.add_argument("--nodes", type=int, default=20)
     p_serve.add_argument("--seed", type=int, default=1)
@@ -201,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "profile (default oracle)")
 
     p_chaos = sub.add_parser(
-        "chaos", parents=[engine, kernel, trace_out, json_flag],
+        "chaos", parents=[engine, trace_out, json_flag],
         help="fault-injection sweep on one room")
     p_chaos.add_argument("--nodes", type=int, default=20)
     p_chaos.add_argument("--seed", type=int, default=1)
@@ -224,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "interval; see docs/CONTROL.md)")
 
     p_ctl = sub.add_parser(
-        "control", parents=[engine, kernel, trace_out, json_flag],
+        "control", parents=[engine, trace_out, json_flag],
         help="predictive vs reactive control under flash crowd + faults")
     p_ctl.add_argument("--nodes", type=int, default=12)
     p_ctl.add_argument("--seed", type=int, default=1)
@@ -246,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mpc lookahead depth in epochs (default 3)")
 
     p_tour = sub.add_parser(
-        "tournament", parents=[engine, kernel, trace_out, json_flag],
+        "tournament", parents=[engine, trace_out, json_flag],
         help="race every solver backend on the scenario matrix")
     p_tour.add_argument("--nodes", type=int, default=20)
     p_tour.add_argument("--seed", type=int, default=1000)
@@ -531,7 +517,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         schedule = load_schedule(args.scenario)
         result = run_chaos_scenario(config, schedule)
         if args.json:
-            print(json.dumps(result.to_dict(), sort_keys=True))
+            print(json.dumps(result.to_dict(), sort_keys=True,
+                             allow_nan=False))
             return 0
         print(f"scenario: {len(schedule)} fault events over "
               f"{args.horizon:.0f}s ({args.nodes} nodes, seed {args.seed})")
@@ -552,7 +539,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                                      "stranded": args.stranded,
                                      "controller": args.controller},
                           "points": [p.to_dict() for p in points]},
-                         sort_keys=True))
+                         sort_keys=True, allow_nan=False))
         return 0
     print(f"chaos sweep: {args.nodes} nodes, seed {args.seed}, "
           f"{args.horizon:.0f}s horizon, stranded={args.stranded}, "
@@ -595,7 +582,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
                                      "forecast": args.forecast,
                                      "controllers": list(controllers)},
                           "points": [p.to_dict() for p in points]},
-                         sort_keys=True))
+                         sort_keys=True, allow_nan=False))
         return 0
     print(f"control sweep: {args.nodes} nodes, seed {args.seed}, "
           f"{args.horizon:.0f}s horizon, epoch {args.epoch_s:.0f}s, "
@@ -695,24 +682,21 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro import kernels
-
     args = build_parser().parse_args(argv)
-    with kernels.use_kernel(getattr(args, "kernel", None)):
-        trace_out = getattr(args, "trace_out", None)
-        if trace_out is None:
-            return _COMMANDS[args.command](args)
-        from repro import obs
+    trace_out = getattr(args, "trace_out", None)
+    if trace_out is None:
+        return _COMMANDS[args.command](args)
+    from repro import obs
 
-        obs.reset()
-        obs.enable()
-        try:
-            code = _COMMANDS[args.command](args)
-        finally:
-            obs.disable()
-            n = obs.write_events_jsonl(trace_out,
-                                       meta={"command": args.command})
-            print(f"trace: {n} spans -> {trace_out}", file=sys.stderr)
+    obs.reset()
+    obs.enable()
+    try:
+        code = _COMMANDS[args.command](args)
+    finally:
+        obs.disable()
+        n = obs.write_events_jsonl(trace_out,
+                                   meta={"command": args.command})
+        print(f"trace: {n} spans -> {trace_out}", file=sys.stderr)
     return code
 
 

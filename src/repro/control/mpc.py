@@ -45,7 +45,6 @@ from typing import Any
 
 import numpy as np
 
-from repro import kernels
 from repro.control.forecast import FORECAST_KINDS, make_forecast
 from repro.core.api import SolveOptions, SolveRequest, SolveResult, solve
 from repro.core.controller import idle_start_t_out, shed_plan
@@ -248,8 +247,7 @@ class MPCPlanner:
         first_s = cfg.step_s if first_step_s is None else float(first_step_s)
         if first_s <= 0:
             raise ValueError(f"first_step_s must be positive, got {first_s}")
-        options = SolveOptions(psi=cfg.psi, warm_seed=cfg.warm == "seed",
-                               kernel=kernels.active_name())
+        options = SolveOptions(psi=cfg.psi, warm_seed=cfg.warm == "seed")
         pooled = cfg.warm != "off"
 
         with obs_span("mpc", steps=int(rates.shape[0]), cap_kw=p_const):

@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
-from repro import kernels
 from repro.core.warmstart import (Digests, SolveState, WarmContext,
                                   capture_state, compute_digests,
                                   prepare_context)
@@ -105,10 +104,6 @@ class SolveOptions:
         Grid granularities of the ``"full"`` coarse-to-fine search.
     temp_step / max_assignments:
         Exact-enumeration knobs (``"exact"`` method only).
-    kernel:
-        Numeric kernel the solve runs under (``"vectorized"`` — the
-        default — or the scalar ``"reference"`` oracle; see
-        :mod:`repro.kernels` and ``docs/KERNELS.md``).
     warm_seed:
         Whether a warm start may seed the ``"fast"`` temperature search
         from the previous optimum after the power cap changed — a
@@ -147,7 +142,6 @@ class SolveOptions:
     final_step: float = 1.0
     temp_step: float = 3.0
     max_assignments: int = 200_000
-    kernel: str = kernels.DEFAULT_KERNEL
     warm_seed: bool = False  # repro-lint: cache-exempt(changes the search path, never solution values; hashing it would defeat warm-start reuse)
     backend: str = "three_stage"
     seed: int = 0
@@ -160,10 +154,6 @@ class SolveOptions:
                 f"unknown search mode {self.search!r} (use 'fast' or 'full')")
         if not self.psis:
             raise ValueError("need at least one psi value")
-        if self.kernel not in kernels.available_kernels():
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose from "
-                f"{', '.join(kernels.available_kernels())}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
         if self.backend not in list_solvers():
@@ -276,8 +266,7 @@ def _solve_three_stage(request: SolveRequest) -> SolveResult:
         request.datacenter, request.workload, request.p_const,
         psi=opt.psi, search=opt.search, warm=ctx)
     state = capture_state(digests, ctx, outcome, method="three_stage",
-                          kernel=opt.kernel, search=opt.search,
-                          psi=opt.psi)
+                          search=opt.search, psi=opt.psi)
     return SolveResult(outcome=outcome, state=state)
 
 
@@ -304,15 +293,15 @@ def _solve_best_psi(request: SolveRequest) -> SolveResult:
     outcome = BestPsiOutcome(by_psi=by_psi)
     children = {
         str(psi): capture_state(child_digests[psi], contexts[psi], result,
-                                method="three_stage", kernel=opt.kernel,
-                                search=opt.search, psi=psi)
+                                method="three_stage", search=opt.search,
+                                psi=psi)
         for psi, result in by_psi.items()
     }
     parent_digests = compute_digests(request.datacenter, request.workload,
                                      request.p_const, opt)
     best = outcome.best
     state = SolveState(
-        method="best_psi", kernel=opt.kernel, search=opt.search,
+        method="best_psi", search=opt.search,
         digests=parent_digests, psi=None,
         t_crac_out=tuple(float(t) for t in best.t_crac_out),
         objective=float(outcome.reward_rate), children=children)
@@ -342,7 +331,7 @@ def _solve_generic(request: SolveRequest, method: str,
         outcome = run(request)
     ctx = WarmContext(stage1_key=digests.stage1)
     state = capture_state(digests, ctx, outcome, method=method,
-                          kernel=opt.kernel, search=opt.search, psi=None)
+                          search=opt.search, psi=None)
     return SolveResult(outcome=outcome, state=state)
 
 
@@ -398,9 +387,7 @@ def solve(request: SolveRequest, *, method: str | None = None
     Every return value is a :class:`SolveResult`: the method-specific
     outcome (``.reward_rate``, ``.verify(datacenter, p_const)``,
     ``.to_dict()`` plus forwarded attributes) together with the
-    ``.state`` handle for warm-starting the next solve.  The solve runs
-    under ``request.options.kernel`` (scoped — the process-wide kernel
-    selection is restored afterwards).
+    ``.state`` handle for warm-starting the next solve.
     """
     name = request.options.backend if method is None else method
     solver = get_solver(name)
@@ -409,5 +396,4 @@ def solve(request: SolveRequest, *, method: str | None = None
         converted = request.datacenter.with_thermal_backend(backend)
         if converted is not request.datacenter:
             request = replace(request, datacenter=converted)
-    with kernels.use_kernel(request.options.kernel):
-        return solver(request)
+    return solver(request)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro import kernels
 from repro.core.api import SolveOptions, SolveRequest, SolveResult, solve
 from repro.core.assignment import AssignmentResult, three_stage_assignment
 from repro.core.warmstart import SolveState
@@ -148,8 +147,7 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
     best: tuple[SolveResult, int, float] | None = None
     overshoot = np.inf
     state = warm_start
-    options = SolveOptions(psi=psi, warm_seed=warm_seed,
-                           kernel=kernels.active_name())
+    options = SolveOptions(psi=psi, warm_seed=warm_seed)
     with obs_span("transient_guard", p_const=p_const):
         for derated in range(max_derate + 1):
             plan = solve(SolveRequest(datacenter, workload, cap,

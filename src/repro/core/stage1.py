@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.core.arr import AggregateRewardRate, aggregate_reward_rate
 from repro.datacenter.builder import DataCenter
+from repro.kernels import vectorized
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
@@ -86,13 +86,13 @@ def build_arr_functions(datacenter: DataCenter, workload: Workload,
 def _node_segments(datacenter: DataCenter,
                    arrs: list[AggregateRewardRate]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-node hull segments for the LP (via the active kernel).
+    """Flatten per-node hull segments for the LP.
 
     Returns ``(node_of_var, capacity, slope)`` — one entry per
     (node, segment) variable; capacity is segment length times the
     node's core count.
     """
-    return kernels.active().assemble_segments(datacenter, arrs)
+    return vectorized.assemble_segments(datacenter, arrs)
 
 
 #: Sentinel distinguishing "no cache entry" from a cached infeasibility.
@@ -216,11 +216,9 @@ def distribute_node_power(datacenter: DataCenter,
     the remainder to a single partial core.  Every resulting per-core
     power is a hull breakpoint (a real, "good" P-state power) except at
     most one per node, and the summed ``ARR`` equals the LP objective.
-    Dispatches to the active kernel (``docs/KERNELS.md``); the kernels
-    agree bit-for-bit.
     """
-    return kernels.active().distribute_node_power(datacenter, arrs,
-                                                  node_core_power)
+    return vectorized.distribute_node_power(datacenter, arrs,
+                                            node_core_power)
 
 
 def solve_stage1(datacenter: DataCenter, workload: Workload, *,
@@ -273,9 +271,8 @@ def solve_stage1(datacenter: DataCenter, workload: Workload, *,
     if warm is not None:
         warm.arrs = arrs
         warm.segments = segments
-    # the active kernel picks the CoP evaluation strategy (direct vs
-    # memoized lookup — bit-identical values either way)
-    cop_model = kernels.active().wrap_cop(datacenter.cracs[0].cop_model)
+    # memoized CoP lookup (bit-identical to the direct model)
+    cop_model = vectorized.wrap_cop(datacenter.cracs[0].cop_model)
     # linearizations are pure in (structure, t_vec); memoize per solve
     # and across warm-chained solves
     lin_cache = warm.lin_cache if warm is not None else {}

@@ -45,10 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels
 from repro.core.arr import AggregateRewardRate
 from repro.core.stage1 import build_arr_functions, distribute_node_power
 from repro.datacenter.builder import DataCenter
+from repro.kernels import vectorized
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
@@ -313,7 +313,7 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
         state.arrs = build_arr_functions(datacenter, workload, psi)
     arrs = state.arrs
     if state.segments is None:
-        state.segments = kernels.active().assemble_segments(datacenter, arrs)
+        state.segments = vectorized.assemble_segments(datacenter, arrs)
     node_of_var, caps, slopes = state.segments
     if not state.blocks:
         state.blocks = _build_blocks(datacenter, state.segments)
@@ -323,7 +323,7 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
     crac_gain = state.crac_gain                  # (n_crac, n_nodes), exact
 
     # ---- temperature-dependent affine pieces (exact, monolithic) ----
-    cop_model = kernels.active().wrap_cop(datacenter.cracs[0].cop_model)
+    cop_model = vectorized.wrap_cop(datacenter.cracs[0].cop_model)
     cop = np.asarray(cop_model(t), dtype=float)
     weight = model.crac_capacity / cop           # kW per Kelvin of lift
     crac_coeff = weight @ crac_gain              # (n_nodes,)

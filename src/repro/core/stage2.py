@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.core.stage1 import Stage1Solution
 from repro.datacenter.builder import DataCenter
+from repro.kernels import vectorized
 
 __all__ = ["Stage2Solution", "convert_power_to_pstates", "solve_stage2"]
 
@@ -90,8 +90,8 @@ def convert_power_to_pstates(datacenter: DataCenter,
     if budget.shape != (datacenter.n_nodes,):
         raise ValueError(
             f"expected {datacenter.n_nodes} node budgets, got {budget.shape}")
-    pstates = kernels.active().convert_power_to_pstates(
-        datacenter, core_power_kw, budget)
+    pstates = vectorized.convert_power_to_pstates(datacenter, core_power_kw,
+                                                  budget)
     node_power = datacenter.node_power_kw(pstates)
     return Stage2Solution(pstates=pstates, node_power_kw=node_power)
 

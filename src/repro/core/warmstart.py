@@ -118,8 +118,8 @@ def compute_digests(datacenter: DataCenter, workload: Workload,
     h.update(repr((psi_val, tuple(options.psis), options.search,
                    options.coarse_step, options.final_step,
                    options.temp_step, options.max_assignments,
-                   options.kernel, options.backend, options.seed,
-                   options.max_evals, options.thermal_backend)).encode())
+                   options.backend, options.seed, options.max_evals,
+                   options.thermal_backend)).encode())
     structure = h.hexdigest()
     stage1 = hashlib.sha256(
         (structure + repr(float(p_const))).encode()).hexdigest()
@@ -177,7 +177,6 @@ class SolveState:
     """
 
     method: str
-    kernel: str
     search: str
     digests: Digests
     psi: float | None = None
@@ -198,7 +197,6 @@ class SolveState:
         return {
             "schema": self.schema,
             "method": self.method,
-            "kernel": self.kernel,
             "search": self.search,
             "digests": {"structure": self.digests.structure,
                         "stage1": self.digests.stage1,
@@ -222,7 +220,6 @@ class SolveState:
         t_out = doc.get("t_crac_out")
         return cls(
             method=doc["method"],
-            kernel=doc["kernel"],
             search=doc["search"],
             digests=digests,
             psi=doc.get("psi"),
@@ -317,7 +314,7 @@ def prepare_context(state: SolveState | None, digests: Digests, *,
 
 
 def capture_state(digests: Digests, ctx: WarmContext, outcome: Any, *,
-                  method: str, kernel: str, search: str,
+                  method: str, search: str,
                   psi: float | None) -> SolveState:
     """Package the caches accumulated during a solve into a new state."""
     ctx.outcome = outcome
@@ -329,7 +326,6 @@ def capture_state(digests: Digests, ctx: WarmContext, outcome: Any, *,
         ctx.prev_stage2 = stage2
     return SolveState(
         method=method,
-        kernel=kernel,
         search=search,
         digests=digests,
         psi=psi,

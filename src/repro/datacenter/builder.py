@@ -24,6 +24,8 @@ from repro.datacenter.coretypes import NodeTypeSpec, paper_node_types
 from repro.datacenter.crac import CRACUnit
 from repro.datacenter.layout import Layout, build_layout
 from repro.datacenter.nodes import ComputeNode
+from repro.kernels import vectorized
+from repro.kernels.tables import core_power_table
 from repro.power.cop import CoPModel, HP_UTILITY_COP
 from repro.units import CRAC_REDLINE_C, NODE_REDLINE_C
 
@@ -129,8 +131,6 @@ class DataCenter:
 
     def _validate_pstates(self, core_pstates: np.ndarray) -> np.ndarray:
         """Shape/range-check a global P-state vector (or batch of them)."""
-        from repro.kernels.tables import core_power_table
-
         ps = np.asarray(core_pstates, dtype=int)
         if ps.shape[-1:] != (self.n_cores,):
             raise ValueError(
@@ -145,7 +145,7 @@ class DataCenter:
         return ps
 
     def node_power_kw(self, core_pstates: np.ndarray) -> np.ndarray:
-        """Eq. 1 for every node at once (via the active kernel).
+        """Eq. 1 for every node at once.
 
         Parameters
         ----------
@@ -157,13 +157,11 @@ class DataCenter:
         numpy.ndarray
             ``PCN_j`` for every node, kW.
         """
-        from repro import kernels
-
         ps = self._validate_pstates(core_pstates)
         if ps.ndim != 1:
             raise ValueError(
                 f"expected a flat P-state vector, got shape {ps.shape}")
-        return kernels.active().node_power_kw(self, ps)
+        return vectorized.node_power_kw(self, ps)
 
     def node_power_batch(self, core_pstates: np.ndarray) -> np.ndarray:
         """Eq. 1 for every row of a ``(B, n_cores)`` P-state batch.
@@ -173,14 +171,12 @@ class DataCenter:
         candidate assignments (controller epochs, enumeration, property
         tests) avoid per-call Python overhead.
         """
-        from repro import kernels
-
         ps = self._validate_pstates(core_pstates)
         if ps.ndim != 2:
             raise ValueError(
                 f"expected a (batch, {self.n_cores}) P-state array, got "
                 f"shape {ps.shape}")
-        return kernels.active().node_power_batch(self, ps)
+        return vectorized.node_power_batch(self, ps)
 
     def all_off_pstates(self) -> np.ndarray:
         """Global P-state vector with every core turned off."""

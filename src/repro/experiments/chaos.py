@@ -100,7 +100,7 @@ class ChaosPoint:
     """One factor's summary in a chaos sweep.
 
     ``reward_retained`` is filled in by :func:`sweep_chaos` relative to
-    the factor-0 control (``NaN`` when the control earned nothing).
+    the factor-0 control (``None`` when the control earned nothing).
     ``detail`` is the full :meth:`ChaosRunResult.to_dict` payload for
     consumers that want per-interval data.
     """
@@ -113,7 +113,7 @@ class ChaosPoint:
     tasks_requeued: int
     n_replans: int
     mean_replan_s: float
-    reward_retained: float = float("nan")
+    reward_retained: float | None = None
     detail: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -153,8 +153,7 @@ class ChaosPoint:
                    tasks_requeued=int(doc["tasks_requeued"]),
                    n_replans=int(doc["n_replans"]),
                    mean_replan_s=float(doc["mean_replan_s"]),
-                   reward_retained=float(doc.get("reward_retained",
-                                                 float("nan"))),
+                   reward_retained=doc.get("reward_retained"),
                    detail=doc.get("detail", {}))
 
 
@@ -241,7 +240,7 @@ def sweep_chaos(config: ChaosConfig, factors: list[float], *,
     baseline = points[0.0].reward_rate
     for point in points.values():
         point.reward_retained = (point.reward_rate / baseline
-                                 if baseline > 0 else float("nan"))
+                                 if baseline > 0 else None)
     return [points[f] for f in wanted]
 
 
@@ -251,7 +250,7 @@ def chaos_table(points: list[ChaosPoint]) -> str:
              f"{'viol min':>9}{'lost':>6}{'requeued':>9}{'replans':>8}"
              f"{'replan s':>9}"]
     for p in points:
-        retained = ("     --- " if np.isnan(p.reward_retained)
+        retained = ("     --- " if p.reward_retained is None
                     else f"{100 * p.reward_retained:8.1f}%")
         lines.append(
             f"{p.factor:>7.2f}{p.n_fault_events:>7d}{p.reward_rate:>10.1f}"

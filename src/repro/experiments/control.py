@@ -156,7 +156,8 @@ class ControlPoint:
     every field is a deterministic function of ``(config, arm)``, so the
     sweep's JSON is byte-identical across ``--jobs`` and golden-safe.
     ``reward_retained`` is filled by :func:`sweep_control` relative to
-    the same controller's factor-0 run.
+    the same controller's factor-0 run (``None`` when that run earned
+    nothing).
     """
 
     controller: str
@@ -169,7 +170,7 @@ class ControlPoint:
     precools: int
     derates: int
     sheds: int
-    reward_retained: float = float("nan")
+    reward_retained: float | None = None
 
     @classmethod
     def from_result(cls, controller: str, factor: float,
@@ -211,8 +212,7 @@ class ControlPoint:
                    precools=int(doc["precools"]),
                    derates=int(doc["derates"]),
                    sheds=int(doc["sheds"]),
-                   reward_retained=float(doc.get("reward_retained",
-                                                 float("nan"))))
+                   reward_retained=doc.get("reward_retained"))
 
 
 def _control_inputs(config: ControlConfig) -> tuple[Scenario, object, list]:
@@ -305,7 +305,7 @@ def sweep_control(config: ControlConfig, factors: list[float],
         for (c, _), point in points.items():
             if c == controller:
                 point.reward_retained = (point.reward_rate / baseline
-                                         if baseline > 0 else float("nan"))
+                                         if baseline > 0 else None)
     return [points[arm] for arm in arms]
 
 
@@ -315,7 +315,7 @@ def control_table(points: list[ControlPoint]) -> str:
              f"{'retained':>10}{'viol min':>9}{'lost':>6}{'precool':>8}"
              f"{'derate':>7}{'shed':>5}"]
     for p in points:
-        retained = ("     --- " if np.isnan(p.reward_retained)
+        retained = ("     --- " if p.reward_retained is None
                     else f"{100 * p.reward_retained:8.1f}%")
         lines.append(
             f"{p.controller:>9}{p.factor:>7.2f}{p.n_fault_events:>7d}"

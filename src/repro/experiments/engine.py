@@ -38,7 +38,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro import kernels, obs
+from repro import obs
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.generator import generate_scenario
 from repro.experiments.progress import ProgressReporter, RunEvent
@@ -53,12 +53,12 @@ __all__ = ["EngineConfig", "EngineError", "run_set", "run_sets",
 
 #: Bump when the cached payload layout (or run semantics) changes; old
 #: cache entries are then ignored rather than misread.  2: cache keys
-#: carry the active numeric kernel (see :mod:`repro.kernels`).
+#: carried the numeric kernel name (no longer part of the key).
 #: 3: ``solve()`` returns :class:`~repro.core.api.SolveResult` and the
 #: solvers grew warm-start reuse paths.
 #: 4: scenario configs carry the solver backend + its budget knobs
 #: (``backend`` / ``backend_seed`` / ``max_evals``), splitting cached
-#: points per backend exactly like the kernel treatment.
+#: points per backend.
 #: 5: scenario configs carry ``thermal_backend`` (dense vs. sparse
 #: heat-flow algebra agree only within float tolerance, so their cached
 #: points must not be mixed).
@@ -156,16 +156,10 @@ def canonical_json(payload) -> str:
 
 
 def cache_key(config: ScenarioConfig, seed: int) -> str:
-    """Digest of everything that determines one run's result.
-
-    Includes the active numeric kernel: the kernels agree within
-    tolerance, not necessarily bit-for-bit, so runs computed under
-    different kernels never share a cache entry.
-    """
+    """Digest of everything that determines one run's result."""
     payload = {
         "code_version": code_version(),
         "config": asdict(config),
-        "kernel": kernels.active_name(),
         "seed": int(seed),
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
@@ -203,8 +197,7 @@ def _store_cached(cache_dir: Path, config: ScenarioConfig, seed: int,
 
 
 def _point_path(cache_dir: str | Path, tag: str, extra: dict) -> Path:
-    blob = canonical_json({"code_version": code_version(),
-                           "kernel": kernels.active_name(), "tag": tag,
+    blob = canonical_json({"code_version": code_version(), "tag": tag,
                            "extra": extra})
     digest = hashlib.sha256(blob.encode()).hexdigest()
     return Path(cache_dir) / f"{tag}-{digest[:16]}.json"
@@ -268,23 +261,18 @@ class _Outcome:
 
 def _execute_comparison(config: ScenarioConfig, seed: int,
                         retries: int = 1, backoff_s: float = 0.05,
-                        trace: bool = False,
-                        kernel: str | None = None) -> _Outcome:
+                        trace: bool = False) -> _Outcome:
     """One run with retry/backoff; never raises (failures are data).
 
     Top-level so :class:`ProcessPoolExecutor` can pickle it.  With
     ``trace=True`` the run executes inside :func:`repro.obs.capture`
     (fresh isolated span/metric state, inline or in a worker alike) and
     the outcome carries the picklable snapshot for the parent to merge.
-    ``kernel`` re-selects the parent's numeric kernel inside pool
-    workers, where the process-wide selection does not carry over.
     """
-    with kernels.use_kernel(kernel):
-        if not trace:
-            return _execute_comparison_body(config, seed, retries, backoff_s)
-        with obs.capture() as snapshot:
-            outcome = _execute_comparison_body(config, seed, retries,
-                                               backoff_s)
+    if not trace:
+        return _execute_comparison_body(config, seed, retries, backoff_s)
+    with obs.capture() as snapshot:
+        outcome = _execute_comparison_body(config, seed, retries, backoff_s)
     return _Outcome(seed=outcome.seed, status=outcome.status,
                     run=outcome.run, failure=outcome.failure,
                     wall_time_s=outcome.wall_time_s,
@@ -394,20 +382,18 @@ def run_set(config: ScenarioConfig, n_runs: int = 25,
             pending.append(seed)
     obs_metrics.counter("engine.runs_computed").inc(len(pending))
 
-    kernel = kernels.active_name()
     if engine.jobs > 1 and len(pending) > 1:
         workers = min(engine.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_comparison, config, seed,
-                                   engine.retries, engine.backoff_s, trace,
-                                   kernel)
+                                   engine.retries, engine.backoff_s, trace)
                        for seed in pending]
             for future in as_completed(futures):
                 finish(future.result())
     else:
         for seed in pending:
             finish(_execute_comparison(config, seed, engine.retries,
-                                       engine.backoff_s, trace, kernel))
+                                       engine.backoff_s, trace))
 
     runs: list[RunResult] = []
     degenerate: list[RunResult] = []
@@ -455,23 +441,12 @@ def _call_captured(fn: Callable, item) -> tuple:
     return result, snapshot()
 
 
-def _call_with_kernel(kernel: str, fn: Callable, item):
-    """Run ``fn(item)`` under the named kernel; picklable.
-
-    Pool workers start on the default kernel — this re-selects the
-    parent's choice before the work runs.
-    """
-    with kernels.use_kernel(kernel):
-        return fn(item)
-
-
 def parallel_map(fn: Callable, items: Iterable, *, jobs: int = 1) -> list:
     """Order-preserving map, optionally across worker processes.
 
     ``fn`` must be picklable (a module-level function or a
     ``functools.partial`` of one) when ``jobs > 1``.  Used by the sweep
-    and benchmark drivers to ride the same pool as the engine.  Worker
-    processes run under the caller's active numeric kernel.
+    and benchmark drivers to ride the same pool as the engine.
 
     When tracing is enabled, each item runs inside its own capture and
     the snapshots merge back in *item* order — like the engine's
@@ -479,16 +454,15 @@ def parallel_map(fn: Callable, items: Iterable, *, jobs: int = 1) -> list:
     ``jobs``.
     """
     items = list(items)
-    worker_fn = partial(_call_with_kernel, kernels.active_name(), fn)
     if not obs.enabled():
         if jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(worker_fn, items))
+            return list(pool.map(fn, items))
     if jobs <= 1 or len(items) <= 1:
         pairs = [_call_captured(fn, item) for item in items]
     else:
-        call = partial(_call_captured, worker_fn)
+        call = partial(_call_captured, fn)
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             pairs = list(pool.map(call, items))
     results = []

@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro import kernels
 from repro.control.forecast import (FORECAST_KINDS, PersistenceForecast,
                                     make_forecast)
 from repro.control.mpc import MPCConfig, MPCPlanner
@@ -434,8 +433,7 @@ class FaultAwareController:
                          cap: float, t_out_full: np.ndarray | None):
         """The reactive interval replan: guard, derate, shed fallback."""
         pol = self.policy
-        options = SolveOptions(psi=pol.psi, warm_seed=pol.warm == "seed",
-                               kernel=kernels.active_name())
+        options = SolveOptions(psi=pol.psi, warm_seed=pol.warm == "seed")
         warm_key: str | None = None
         warm_state: SolveState | None = None
         if pol.warm != "off":
@@ -514,7 +512,6 @@ class FaultAwareController:
         replan_wall = time.perf_counter() - t0
         if cause != "start":
             obs_metrics.counter("chaos.replans").inc()
-            obs_metrics.histogram("chaos.replan_s").observe(replan_wall)
 
         # thermal state propagation over the interval (and the
         # violation-minutes exposure of the transition into it)

@@ -1,111 +1,16 @@
-"""Swappable numeric kernels for the solver's hot loops.
+"""Numeric kernels for the solver's hot loops.
 
-The solver evaluates the same dense linear-algebra primitives thousands
-of times per run: steady-state heat flow (Eq. 5), per-node power
-(Eq. 1/Eq. 23), the stage-1 LP segment assembly and breakpoint fill, and
-the stage-2 integer rounding.  This package provides two interchangeable
-implementations of those primitives:
+The solver calls :mod:`repro.kernels.vectorized` — NumPy array programs
+over the lookup tables of :mod:`repro.kernels.tables` — always through
+the module attribute (``vectorized.assemble_segments(...)``), never a
+``from ... import`` of the function.  :mod:`repro.kernels.reference`
+holds scalar per-core / per-node loops written to be obviously correct;
+it is the oracle the tests (``tests/kernels/``) and
+``benchmarks/bench_kernels.py`` compare against.
 
-* :mod:`repro.kernels.reference` — scalar, per-core / per-node Python
-  loops written to be obviously correct.  The oracle.
-* :mod:`repro.kernels.vectorized` — NumPy array programs over
-  precomputed lookup tables (:mod:`repro.kernels.tables`).  The default.
-
-Both expose the same module-level functions (the *kernel contract*, see
-``docs/KERNELS.md``):
-
-``node_power_kw(dc, pstates)``
-    Eq. 1 node powers for one global P-state vector.
-``node_power_batch(dc, pstates_2d)``
-    Eq. 1 for a whole batch of P-state vectors at once.
-``steady_state_batch(model, t_crac_out_2d, node_power_2d)``
-    Batched steady-state solves reusing the model's factored
-    ``(I - A_MM)`` system; returns ``(t_in, t_out, crac_heat_kw)``.
-``convert_power_to_pstates(dc, core_power_kw, node_budget_kw)``
-    The stage-2 round-up + trim procedure (Section V.B.3).
-``assemble_segments(dc, arrs)``
-    Stage-1 LP variable layout ``(node_of_var, caps, slopes)``.
-``distribute_node_power(dc, arrs, node_core_power)``
-    Stage-1 breakpoint-quantized greedy fill.
-``wrap_cop(cop_model)``
-    CoP evaluation strategy (identity or memoized lookup).
-
-Callers never import the implementation modules directly — they go
-through :func:`active`, and users pick a kernel with ``--kernel`` on the
-CLI, ``SolveOptions(kernel=...)`` on the API, or :func:`use_kernel` in
-code.  Kernel inputs are validated by the public call sites
-(``DataCenter.node_power_kw``, ``stage2.convert_power_to_pstates``, ...)
-before dispatch, so kernels may assume well-formed shapes and ranges.
-
-Equivalence contract: integer outputs (P-states, variable layouts) are
-bit-identical between kernels; floating-point outputs agree within
-``repro.units.approx_eq`` tolerance (most are bit-identical too — see
-``docs/KERNELS.md`` for the op-by-op guarantees and the test harness
-that enforces them).
+Both modules expose the same seven functions; ``docs/KERNELS.md`` lists
+the contract and which outputs agree bit-for-bit versus within
+tolerance.  Inputs are validated by the public call sites
+(``DataCenter.node_power_kw``, ``stage2.convert_power_to_pstates``, ...),
+so kernels may assume well-formed shapes and ranges.
 """
-
-from __future__ import annotations
-
-import importlib
-from contextlib import contextmanager
-from types import ModuleType
-from typing import Iterator
-
-__all__ = ["DEFAULT_KERNEL", "available_kernels", "active", "active_name",
-           "set_kernel", "use_kernel"]
-
-_KERNEL_NAMES: tuple[str, ...] = ("reference", "vectorized")
-
-#: The kernel used when nothing is selected explicitly.
-DEFAULT_KERNEL: str = "vectorized"
-
-_active_name: str = DEFAULT_KERNEL
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Names accepted by :func:`set_kernel` / ``--kernel``."""
-    return _KERNEL_NAMES
-
-
-def active_name() -> str:
-    """Name of the currently selected kernel."""
-    return _active_name
-
-
-def active() -> ModuleType:
-    """The currently selected kernel implementation module."""
-    return importlib.import_module(f"repro.kernels.{_active_name}")
-
-
-def set_kernel(name: str) -> str:
-    """Select a kernel process-wide; returns the previous selection.
-
-    Prefer :func:`use_kernel` (scoped) over calling this directly —
-    kernel choice is global state, and un-restored changes leak into
-    unrelated code.
-    """
-    global _active_name
-    if name not in _KERNEL_NAMES:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from "
-            f"{', '.join(_KERNEL_NAMES)}")
-    previous = _active_name
-    _active_name = name
-    return previous
-
-
-@contextmanager
-def use_kernel(name: str | None) -> Iterator[None]:
-    """Scoped kernel selection; ``None`` keeps the current kernel.
-
-    Restores the previous selection on exit, so nesting works and
-    library code cannot leak a kernel choice into its caller.
-    """
-    if name is None:
-        yield
-        return
-    previous = set_kernel(name)
-    try:
-        yield
-    finally:
-        set_kernel(previous)

@@ -1,4 +1,4 @@
-"""NumPy-vectorized kernels — the default fast path.
+"""NumPy-vectorized kernels — the fast path the solver calls.
 
 Each primitive is an array program over the precomputed lookup tables
 of :mod:`repro.kernels.tables`.  The implementations are written to

@@ -35,7 +35,6 @@ from typing import AsyncIterator, Iterable, Iterator
 
 import numpy as np
 
-from repro import kernels
 from repro.control.forecast import ForecastProvider
 from repro.control.mpc import MPCConfig, MPCPlanner
 from repro.core.api import SolveOptions, SolveRequest, solve
@@ -331,8 +330,7 @@ class ControlService:
             warm_level = decision.warm_level
         else:
             options = SolveOptions(psi=cfg.psi,
-                                   warm_seed=cfg.warm == "seed",
-                                   kernel=kernels.active_name())
+                                   warm_seed=cfg.warm == "seed")
             state = self._warm if cfg.warm != "off" else None
             try:
                 if self._t_out is None:

@@ -124,6 +124,15 @@ class TestSolveStateSerialization:
         twice = SolveState.from_dict(once).to_dict()
         assert once == twice
 
+    def test_schema1_doc_with_kernel_key_still_loads(self, cold):
+        # schema-1 docs written while the solver still had a kernel
+        # switch carry a "kernel" entry; it is ignored on load
+        current = cold.state.to_dict()
+        legacy = dict(current, kernel="vectorized")
+        state = SolveState.from_dict(legacy)
+        assert state.digests == cold.state.digests
+        assert state.to_dict() == current
+
     def test_unknown_schema_rejected(self, cold):
         doc = cold.state.to_dict()
         doc["schema"] = 99

@@ -1,5 +1,7 @@
 """Tests for repro.experiments.chaos — the fault-rate sweep driver."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,19 @@ class TestSweep:
         # the cached replay returns the *identical* payload, wall clocks
         # included — nothing was recomputed
         assert [p.to_dict() for p in first] == [p.to_dict() for p in second]
+
+    def test_metric_snapshots_byte_identical(self):
+        """Wall-clock replan times live in spans, never in the metrics
+        registry, so two identical sweeps' metrics diff byte for byte."""
+        from repro import obs
+
+        blobs = []
+        for _ in range(2):
+            with obs.capture() as snapshot:
+                points = sweep_chaos(CONFIG, [1.0])
+            blobs.append(json.dumps(snapshot()["metrics"], sort_keys=True))
+        assert sum(p.n_replans for p in points) > 0
+        assert blobs[0] == blobs[1]
 
     def test_cache_key_sensitive_to_config(self, tmp_path):
         cache = str(tmp_path / "cache")

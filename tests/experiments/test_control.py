@@ -101,7 +101,7 @@ class TestControlTable:
             ControlPoint(controller="mpc", factor=1.0, n_fault_events=3,
                          reward_rate=90.0, violation_minutes=0.5,
                          tasks_lost=2, n_replans=4, precools=2, derates=1,
-                         sheds=0, reward_retained=float("nan")),
+                         sheds=0, reward_retained=None),
         ]
         table = control_table(points)
         lines = table.splitlines()

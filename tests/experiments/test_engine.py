@@ -332,12 +332,10 @@ class TestCanonicalJson:
         import json
         from dataclasses import asdict
 
-        from repro import kernels
         from repro.experiments.engine import code_version
 
         payload = {"code_version": code_version(),
-                   "config": asdict(TINY),
-                   "kernel": kernels.active_name(), "seed": 7}
+                   "config": asdict(TINY), "seed": 7}
         legacy = hashlib.sha256(
             json.dumps(payload, sort_keys=True,
                        default=list).encode()).hexdigest()

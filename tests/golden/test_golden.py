@@ -1,9 +1,8 @@
 """Golden-value regression suite.
 
-Each test runs one headline pipeline at a fixed seed under the default
-(vectorized) kernel and pins its observable outputs — reward rates,
-per-core P-states, CRAC outlets, inlet temperatures, CRAC powers — to a
-committed JSON baseline.  Wall-clock measurements are deliberately
+Each test runs one headline pipeline at a fixed seed and pins its
+observable outputs — reward rates, per-core P-states, CRAC outlets,
+inlet temperatures, CRAC powers — to a committed JSON baseline.  Wall-clock measurements are deliberately
 excluded (they are the only nondeterministic outputs).
 
 The suite is the repo's early-warning system for silent numeric drift:

@@ -1,132 +1,32 @@
-"""Kernel registry, scoped selection and end-to-end dispatch plumbing."""
+"""Whole-solve oracle: the solver on the reference kernels agrees."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import kernels
-from repro.cli import build_parser
-from repro.core.api import SolveOptions, SolveRequest, solve
+from repro.core.api import SolveRequest, solve
 from repro.experiments.config import PAPER_SET_1, scaled_down
-from repro.experiments.engine import cache_key
 from repro.experiments.generator import generate_scenario
+from repro.kernels import reference, vectorized
 
 from tests.conftest import SEED
 
-
-class TestRegistry:
-    def test_both_kernels_listed(self):
-        assert kernels.available_kernels() == ("reference", "vectorized")
-
-    def test_default_is_vectorized(self):
-        assert kernels.DEFAULT_KERNEL == "vectorized"
-
-    def test_active_module_matches_name(self):
-        with kernels.use_kernel("reference"):
-            assert kernels.active().__name__ == "repro.kernels.reference"
-        with kernels.use_kernel("vectorized"):
-            assert kernels.active().__name__ == "repro.kernels.vectorized"
-
-    def test_set_kernel_returns_previous(self):
-        before = kernels.active_name()
-        try:
-            assert kernels.set_kernel("reference") == before
-            assert kernels.active_name() == "reference"
-        finally:
-            kernels.set_kernel(before)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.set_kernel("turbo")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with kernels.use_kernel("turbo"):
-                pass  # pragma: no cover - the context must not enter
+#: The kernel contract (docs/KERNELS.md): every function the solver
+#: calls on :mod:`repro.kernels.vectorized`.
+CONTRACT = ("node_power_kw", "node_power_batch", "steady_state_batch",
+            "convert_power_to_pstates", "assemble_segments",
+            "distribute_node_power", "wrap_cop")
 
 
-class TestUseKernel:
-    def test_restores_on_exit(self):
-        start = kernels.active_name()
-        with kernels.use_kernel("reference"):
-            assert kernels.active_name() == "reference"
-        assert kernels.active_name() == start
-
-    def test_restores_on_error(self):
-        start = kernels.active_name()
-        with pytest.raises(RuntimeError):
-            with kernels.use_kernel("reference"):
-                raise RuntimeError("boom")
-        assert kernels.active_name() == start
-
-    def test_nesting(self):
-        with kernels.use_kernel("reference"):
-            with kernels.use_kernel("vectorized"):
-                assert kernels.active_name() == "vectorized"
-            assert kernels.active_name() == "reference"
-
-    def test_none_is_a_noop(self):
-        start = kernels.active_name()
-        with kernels.use_kernel(None):
-            assert kernels.active_name() == start
-
-
-class TestSolveOptions:
-    def test_kernel_default(self):
-        assert SolveOptions().kernel == kernels.DEFAULT_KERNEL
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            SolveOptions(kernel="turbo")
-
-    def test_solve_agrees_across_kernels(self):
-        sc = generate_scenario(scaled_down(PAPER_SET_1, 8), SEED)
-        outcomes = {}
-        for name in kernels.available_kernels():
-            request = SolveRequest(sc.datacenter, sc.workload, sc.p_const,
-                                   options=SolveOptions(kernel=name))
-            outcomes[name] = solve(request)
-        ref, vec = outcomes["reference"], outcomes["vectorized"]
-        assert vec.reward_rate == pytest.approx(ref.reward_rate,
-                                                rel=1e-9, abs=1e-9)
-        assert np.array_equal(ref.pstates, vec.pstates)
-        assert np.array_equal(ref.t_crac_out, vec.t_crac_out)
-
-    def test_solve_restores_ambient_kernel(self):
-        sc = generate_scenario(scaled_down(PAPER_SET_1, 8), SEED)
-        before = kernels.active_name()
-        request = SolveRequest(sc.datacenter, sc.workload, sc.p_const,
-                               options=SolveOptions(kernel="reference"))
-        solve(request)
-        assert kernels.active_name() == before
-
-
-class TestEngineCacheKeys:
-    def test_cache_key_differs_per_kernel(self):
-        config = scaled_down(PAPER_SET_1, 8)
-        with kernels.use_kernel("reference"):
-            ref_key = cache_key(config, 7)
-        with kernels.use_kernel("vectorized"):
-            vec_key = cache_key(config, 7)
-        assert ref_key != vec_key
-
-    def test_cache_key_stable_within_kernel(self):
-        config = scaled_down(PAPER_SET_1, 8)
-        with kernels.use_kernel("reference"):
-            assert cache_key(config, 7) == cache_key(config, 7)
-
-
-class TestCliOption:
-    @pytest.mark.parametrize("command", ["compare", "fig6", "sweep",
-                                         "simulate", "chaos"])
-    def test_kernel_flag_parses(self, command):
-        parser = build_parser()
-        args = parser.parse_args([command, "--kernel", "reference"])
-        assert args.kernel == "reference"
-
-    def test_kernel_flag_defaults_to_vectorized(self):
-        args = build_parser().parse_args(["fig6"])
-        assert args.kernel == kernels.DEFAULT_KERNEL
-
-    def test_unknown_kernel_flag_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig6", "--kernel", "turbo"])
+def test_solve_agrees_with_reference_kernels(monkeypatch):
+    sc = generate_scenario(scaled_down(PAPER_SET_1, 8), SEED)
+    request = SolveRequest(sc.datacenter, sc.workload, sc.p_const)
+    vec = solve(request)
+    for name in CONTRACT:
+        monkeypatch.setattr(vectorized, name, getattr(reference, name))
+    ref = solve(request)
+    assert np.array_equal(ref.pstates, vec.pstates)
+    assert np.array_equal(ref.t_crac_out, vec.t_crac_out)
+    assert vec.reward_rate == pytest.approx(ref.reward_rate,
+                                            rel=1e-9, abs=1e-9)

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.stage1 import build_arr_functions, solve_stage1
 from repro.datacenter import build_datacenter
 from repro.datacenter.coretypes import shrunken_node_types
@@ -74,15 +73,10 @@ class TestHeatFlowBatch:
         rng = np.random.default_rng(seed)
         t = rng.uniform(10.0, 25.0, size=(batch, model.n_crac))
         p = rng.uniform(0.0, 1.5, size=(batch, dc.n_nodes))
-        results = {}
-        for name in kernels.available_kernels():
-            with kernels.use_kernel(name):
-                results[name] = model.steady_state_batch(t, p)
-        ref, vec = results["reference"], results["vectorized"]
-        assert np.allclose(ref.t_in, vec.t_in, rtol=1e-9, atol=1e-9)
-        assert np.allclose(ref.t_out, vec.t_out, rtol=1e-9, atol=1e-9)
-        assert np.allclose(ref.crac_heat_kw, vec.crac_heat_kw,
-                           rtol=1e-9, atol=1e-9)
+        ref = reference.steady_state_batch(model, t, p)
+        vec = vectorized.steady_state_batch(model, t, p)
+        for r, v in zip(ref, vec):             # t_in, t_out, crac_heat_kw
+            assert np.allclose(r, v, rtol=1e-9, atol=1e-9)
 
     @given(index=room_indices, seed=seeds)
     @RELAXED
@@ -127,13 +121,10 @@ class TestHeatFlowBatch:
         reduced = model.without_nodes(dead)
         t = rng.uniform(10.0, 25.0, size=(3, reduced.n_crac))
         p = rng.uniform(0.0, 1.5, size=(3, reduced.n_nodes))
-        results = {}
-        for name in kernels.available_kernels():
-            with kernels.use_kernel(name):
-                results[name] = reduced.steady_state_batch(t, p)
-        ref, vec = results["reference"], results["vectorized"]
-        assert np.allclose(ref.t_in, vec.t_in, rtol=1e-9, atol=1e-9)
-        assert np.allclose(ref.t_out, vec.t_out, rtol=1e-9, atol=1e-9)
+        ref = reference.steady_state_batch(reduced, t, p)
+        vec = vectorized.steady_state_batch(reduced, t, p)
+        for r, v in zip(ref[:2], vec[:2]):     # t_in, t_out
+            assert np.allclose(r, v, rtol=1e-9, atol=1e-9)
 
 
 class TestNodePowerExact:
