@@ -357,43 +357,37 @@ def _cmd_simulate_controller(args: argparse.Namespace, sc) -> int:
     """The ``--controller interval|mpc`` branch of ``repro simulate``."""
     import json
 
-    from repro.control import MPCConfig, MPCController
-    from repro.core.controller import EpochController
-    from repro.workload import ConstantProfile
+    from repro.faults import (FaultAwareController, FaultSchedule,
+                              ReactionPolicy)
+    from repro.workload import ConstantProfile, generate_nonstationary_trace
 
     profile = ConstantProfile(sc.workload.arrival_rates)
-    rng = np.random.default_rng(args.seed + 1)
-    if args.controller == "mpc":
-        controller = MPCController(
-            sc.datacenter, sc.workload, sc.p_const,
-            MPCConfig(step_s=args.epoch_s), forecast=args.forecast)
-        result = controller.run(profile, args.horizon, rng)
-        precools, derates = result.precools, result.derates
-    else:
-        controller = EpochController(sc.datacenter, sc.workload,
-                                     sc.p_const, epoch_s=args.epoch_s)
-        result = controller.run(profile, args.horizon, rng)
-        precools = 0
-        derates = sum(e.derated for e in result.epochs)
+    trace = generate_nonstationary_trace(
+        sc.workload, profile, args.horizon,
+        np.random.default_rng(args.seed + 1))
+    policy = ReactionPolicy(controller=args.controller,
+                            epoch_s=args.epoch_s, forecast=args.forecast)
+    result = FaultAwareController(
+        sc.datacenter, sc.workload, sc.p_const, policy).run(
+        trace, args.horizon, FaultSchedule.empty(), profile=profile)
     if args.json:
         doc = {
             "controller": args.controller,
-            "n_epochs": len(result.epochs),
+            "n_epochs": len(result.intervals),
             "reward_rate": result.reward_rate,
             "total_reward": result.total_reward,
-            "precools": precools,
-            "derates": derates,
+            "precools": result.precools,
+            "derates": result.derates,
+            "violation_minutes": result.violation_minutes,
         }
-        if args.controller == "mpc":
-            doc["violation_minutes"] = result.violation_minutes
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
         return 0
     print(f"controller          : {args.controller} "
-          f"({len(result.epochs)} epochs x {args.epoch_s:.0f}s)")
+          f"({len(result.intervals)} epochs x {args.epoch_s:.0f}s)")
     print(f"achieved reward rate: {result.reward_rate:9.1f}/s")
-    print(f"escalations         : {precools} precools, {derates} derates")
-    if args.controller == "mpc":
-        print(f"violation minutes   : {result.violation_minutes:.2f}")
+    print(f"escalations         : {result.precools} precools, "
+          f"{result.derates} derates")
+    print(f"violation minutes   : {result.violation_minutes:.2f}")
     return 0
 
 
@@ -625,7 +619,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
                                      "backend_seed": args.backend_seed,
                                      "max_evals": args.max_evals},
                           "points": [p.to_dict() for p in points]},
-                         sort_keys=True))
+                         sort_keys=True, allow_nan=False))
         return 0
     print(f"solver tournament: {args.nodes} nodes, seed {args.seed}, "
           f"sets {','.join(str(s) for s in sets)}, "

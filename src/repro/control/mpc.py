@@ -2,7 +2,7 @@
 
 The paper's Section V.A premise — "temperature evolution in the data
 center is in orders of minutes, while the execution of a task is in
-orders of seconds" — is used *defensively* by the interval controllers
+orders of seconds" — is used *defensively* by the interval arm
 (:func:`repro.core.controller.plan_with_transient_guard` assumes the
 candidate plan persists until the room settles and derates the power
 cap until that worst case is clean).  This module uses the same slow
@@ -34,35 +34,30 @@ et al. (PAPERS.md):
 Warm chains are pooled per problem structure
 (:class:`~repro.core.warmstart.WarmPool`): the true room and each
 pre-cool tightening level keep independent chains, so every reuse the
-solver engages stays value-exact.  See docs/CONTROL.md for the full
-horizon/forecast/warm-replay contract.
+solver engages stays value-exact.  The loop that calls the planner
+once per epoch is :class:`repro.faults.policy.FaultAwareController`
+with ``ReactionPolicy(controller="mpc")``.  See docs/CONTROL.md for the
+full horizon/forecast/warm-replay contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from repro.control.forecast import FORECAST_KINDS, make_forecast
 from repro.core.api import SolveOptions, SolveRequest, SolveResult, solve
-from repro.core.controller import idle_start_t_out, shed_plan
+from repro.core.controller import shed_plan
 from repro.core.warmstart import WarmPool, compute_digests
 from repro.datacenter.builder import DataCenter
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
-from repro.simulate.engine import simulate_trace
-from repro.simulate.metrics import SimulationMetrics
 from repro.thermal.transient import simulate_transient
-from repro.workload.profiles import (ArrivalProfile,
-                                     generate_nonstationary_trace)
 from repro.workload.tasktypes import Workload
-from repro.workload.trace import Task
 
-__all__ = ["MPCConfig", "MPCDecision", "MPCPlanner", "MPCEpochRecord",
-           "MPCResult", "MPCController"]
+__all__ = ["MPCConfig", "MPCDecision", "MPCPlanner"]
 
 #: Overshoot below this is "clean" (same tolerance as the interval guard).
 _CLEAN_C = 1e-6
@@ -181,11 +176,6 @@ class MPCDecision:
     shed: bool = False
 
 
-def _warm_level(plan: SolveResult) -> str:
-    runtime = plan.state.runtime
-    return runtime.level if runtime is not None else "none"
-
-
 class MPCPlanner:
     """Stateless-per-decision planner holding the warm chains.
 
@@ -292,12 +282,12 @@ class MPCPlanner:
 
         if t_out_prev is None:
             # cold start: nothing to transition from (parity with the
-            # interval controllers' plain first solve)
+            # interval arm's plain first solve)
             return MPCDecision(
                 plan=plans[0], precooled=0, derated=0,
                 predicted_overshoot_c=None, predicted_violation_min=0.0,
                 lookahead_steps=len(plans),
-                warm_level=_warm_level(plans[0]))
+                warm_level=plans[0].warm_level)
 
         # -- chained transient prediction -------------------------------
         model = datacenter.require_thermal()
@@ -389,209 +379,4 @@ class MPCPlanner:
         return MPCDecision(
             plan=plan_c, precooled=precool, derated=derate,
             predicted_overshoot_c=worst, predicted_violation_min=viol,
-            lookahead_steps=len(plans), warm_level=_warm_level(plan_c))
-
-
-@dataclass
-class MPCEpochRecord:
-    """One epoch of an MPC controller run.
-
-    ``predicted_overshoot_c`` is the planner's chained-horizon forecast;
-    ``transient_overshoot_c`` / ``violation_minutes`` measure the actual
-    transition over the epoch (the same methodology the interval
-    controllers use, so runs are directly comparable).
-    """
-
-    start_s: float
-    end_s: float
-    rates: np.ndarray
-    plan: Any
-    precooled: int
-    derated: int
-    predicted_overshoot_c: float | None
-    transient_overshoot_c: float | None
-    violation_minutes: float
-    warm_level: str
-    shed: bool
-    metrics: SimulationMetrics
-
-    def to_dict(self) -> dict:
-        return {
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "rates": [float(r) for r in self.rates],
-            "plan_reward_rate": float(self.plan.reward_rate),
-            "t_crac_out_c": [float(t) for t in self.plan.t_crac_out],
-            "precooled": self.precooled,
-            "derated": self.derated,
-            "predicted_overshoot_c": self.predicted_overshoot_c,
-            "transient_overshoot_c": self.transient_overshoot_c,
-            "violation_minutes": self.violation_minutes,
-            "warm_level": self.warm_level,
-            "shed": self.shed,
-            "metrics": self.metrics.to_dict(),
-        }
-
-
-@dataclass
-class MPCResult:
-    """Full MPC controller run output (mirrors ``ControllerResult``)."""
-
-    epochs: list[MPCEpochRecord] = field(default_factory=list)
-
-    @property
-    def total_reward(self) -> float:
-        return float(sum(e.metrics.total_reward for e in self.epochs))
-
-    @property
-    def horizon_s(self) -> float:
-        if not self.epochs:
-            return 0.0
-        return float(self.epochs[-1].end_s - self.epochs[0].start_s)
-
-    @property
-    def reward_rate(self) -> float:
-        horizon = self.horizon_s
-        if horizon <= 0.0:
-            return 0.0
-        return self.total_reward / horizon
-
-    @property
-    def violation_minutes(self) -> float:
-        return float(sum(e.violation_minutes for e in self.epochs))
-
-    @property
-    def precools(self) -> int:
-        return sum(e.precooled for e in self.epochs)
-
-    @property
-    def derates(self) -> int:
-        return sum(e.derated for e in self.epochs)
-
-    @property
-    def shed_epochs(self) -> int:
-        return sum(1 for e in self.epochs if e.shed)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "horizon_s": self.horizon_s,
-            "total_reward": self.total_reward,
-            "reward_rate": self.reward_rate,
-            "violation_minutes": self.violation_minutes,
-            "precools": self.precools,
-            "derates": self.derates,
-            "shed_epochs": self.shed_epochs,
-            "epochs": [e.to_dict() for e in self.epochs],
-        }
-
-
-class MPCController:
-    """Drop-in predictive alternative to the epoch controller.
-
-    Drives :class:`MPCPlanner` over a drifting arrival profile with the
-    same trace realization, epoch grid and DES replay the memoryless
-    :class:`~repro.core.controller.EpochController` would use — only the
-    per-epoch planning differs, so ``--controller interval`` vs ``mpc``
-    comparisons isolate the control policy.
-
-    Parameters
-    ----------
-    datacenter / base_workload / p_const:
-        As for the epoch controller.
-    config:
-        Planner tunables; the epoch grid is ``config.step_s``.
-    forecast:
-        Provider kind (``"oracle"`` / ``"persistence"`` / ``"noisy"``,
-        see :func:`repro.control.forecast.make_forecast`).
-    forecast_seed:
-        Noise seed for the ``"noisy"`` provider.
-    """
-
-    def __init__(self, datacenter: DataCenter, base_workload: Workload,
-                 p_const: float, config: MPCConfig | None = None,
-                 forecast: str = "oracle", forecast_seed: int = 0):
-        if p_const <= 0:
-            raise ValueError("power cap must be positive")
-        if forecast not in FORECAST_KINDS:
-            raise ValueError(
-                f"unknown forecast kind {forecast!r} "
-                f"(use one of {FORECAST_KINDS})")
-        datacenter.require_thermal()
-        self.datacenter = datacenter
-        self.base_workload = base_workload
-        self.p_const = p_const
-        self.config = config or MPCConfig()
-        self.forecast = forecast
-        self.forecast_seed = forecast_seed
-        self.planner = MPCPlanner(self.config)
-
-    # ------------------------------------------------------------------
-    def run(self, profile: ArrivalProfile, horizon_s: float,
-            rng: np.random.Generator) -> MPCResult:
-        """Drive the controller over ``horizon_s`` seconds of load.
-
-        Same conventions as ``EpochController.run``: one trace
-        realization drawn up front and split at epoch boundaries, the
-        cold room settled at mid-range outlets before the first epoch
-        (so even the first transition is checked), room state carried
-        across epochs through the actual transient end state.
-        """
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        cfg = self.config
-        dc = self.datacenter
-        model = dc.require_thermal()
-        provider = make_forecast(self.forecast, profile,
-                                 seed=self.forecast_seed)
-        trace = generate_nonstationary_trace(self.base_workload, profile,
-                                             horizon_s, rng)
-        n_epochs = int(np.ceil(horizon_s / cfg.step_s))
-        dt = min(1.0, cfg.tau_s / 4.0)
-        t_out_prev = idle_start_t_out(dc)
-        epochs: list[MPCEpochRecord] = []
-        cursor = 0
-        for e in range(n_epochs):
-            start = e * cfg.step_s
-            end = min((e + 1) * cfg.step_s, horizon_s)
-            with obs_span("epoch", index=e):
-                rates = np.asarray(profile.rates(start), dtype=float)
-                forecast = provider.rates_ahead(start, rates,
-                                                cfg.horizon_steps,
-                                                cfg.step_s)
-                decision = self.planner.plan(dc, self.base_workload,
-                                             self.p_const, t_out_prev,
-                                             forecast,
-                                             first_step_s=end - start)
-                plan = decision.plan
-                node_power = dc.node_power_kw(plan.pstates)
-                with obs_span("transient"):
-                    transient = simulate_transient(
-                        model, plan.t_crac_out, node_power, t_out_prev,
-                        duration_s=max(end - start, dt), tau_s=cfg.tau_s,
-                        dt_s=dt)
-                overshoot = transient.max_inlet_overshoot(dc.redline_c)
-                violation = transient.violation_minutes(dc.redline_c)
-                t_out_prev = transient.t_out[-1]
-                chunk: list[Task] = []
-                while cursor < len(trace) and trace[cursor].arrival < end:
-                    t = trace[cursor]
-                    chunk.append(Task(arrival=t.arrival - start,
-                                      task_type=t.task_type, uid=t.uid,
-                                      deadline=t.deadline - start))
-                    cursor += 1
-                workload = replace(self.base_workload, arrival_rates=rates)
-                metrics = simulate_trace(dc, workload, plan.tc,
-                                         plan.pstates, chunk,
-                                         duration=end - start)
-                epochs.append(MPCEpochRecord(
-                    start_s=start, end_s=end, rates=rates, plan=plan,
-                    precooled=decision.precooled,
-                    derated=decision.derated,
-                    predicted_overshoot_c=decision.predicted_overshoot_c,
-                    transient_overshoot_c=float(overshoot),
-                    violation_minutes=float(violation),
-                    warm_level=decision.warm_level,
-                    shed=decision.shed, metrics=metrics))
-            obs_metrics.counter("mpc.epochs").inc()
-        return MPCResult(epochs=epochs)
+            lookahead_steps=len(plans), warm_level=plan_c.warm_level)

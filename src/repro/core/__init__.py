@@ -12,8 +12,6 @@ from repro.core.assignment import (AssignmentResult, best_psi_assignment,
 from repro.core.baseline import (BaselineSolution, solve_baseline,
                                  solve_baseline_fixed_temps)
 from repro.core.consolidation import ConsolidationResult, consolidate
-from repro.core.controller import (ControllerResult, EpochController,
-                                   EpochRecord)
 from repro.core.exact import ExactResult, count_assignments, solve_exact
 from repro.core.queueing import (ClassQueue, erlang_c, mm1k_blocking,
                                  predict_completion)
@@ -52,9 +50,6 @@ __all__ = [
     "solve_baseline_fixed_temps",
     "ConsolidationResult",
     "consolidate",
-    "ControllerResult",
-    "EpochController",
-    "EpochRecord",
     "ExactResult",
     "count_assignments",
     "solve_exact",

@@ -239,6 +239,12 @@ class SolveResult:
     def reward_rate(self) -> float:
         return self.outcome.reward_rate
 
+    @property
+    def warm_level(self) -> str:
+        """Warm-start reuse level this solve engaged (``"none"`` cold)."""
+        runtime = self.state.runtime
+        return runtime.level if runtime is not None else "none"
+
     def verify(self, datacenter: DataCenter, p_const: float,
                tol: float = 1e-6) -> None:
         self.outcome.verify(datacenter, p_const, tol=tol)

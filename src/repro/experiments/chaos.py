@@ -216,8 +216,9 @@ def sweep_chaos(config: ChaosConfig, factors: list[float], *,
     in relative to the control.
     """
     wanted = sorted(set(float(f) for f in factors) | {0.0})
-    scenario, _ = _chaos_inputs(config)
-    n_crac = scenario.datacenter.n_crac
+    # the generator builds the room with the config's CRAC count, so the
+    # cache keys need no room (nor trace) generated in this process
+    n_crac = scaled_down(PAPER_SET_1, config.n_nodes).n_crac
     points: dict[float, ChaosPoint] = {}
     pending: list[float] = []
     for factor in wanted:

@@ -279,8 +279,9 @@ def sweep_control(config: ControlConfig, factors: list[float],
                 f"got {controller!r}")
     wanted = sorted(set(float(f) for f in factors) | {0.0})
     arms = [(c, f) for c in controllers for f in wanted]
-    scenario, _, _ = _control_inputs(config)
-    n_crac = scenario.datacenter.n_crac
+    # the generator builds the room with the config's CRAC count, so the
+    # cache keys need no room (nor trace) generated in this process
+    n_crac = scaled_down(PAPER_SET_1, config.n_nodes).n_crac
     points: dict[tuple[str, float], ControlPoint] = {}
     pending: list[tuple[str, float]] = []
     for arm in arms:

@@ -38,7 +38,7 @@ _CODE_RE = re.compile(r"^RL\d{3}$")
 #: paths are validated segment by segment.
 DEFAULT_SPAN_TAXONOMY: frozenset[str] = frozenset({
     "three_stage", "stage1", "stage2", "stage3", "lp", "des_replay",
-    "epoch", "transient_guard", "transient", "interval", "replan",
+    "transient_guard", "transient", "interval", "replan",
 })
 
 #: Physical constants that must come from :mod:`repro.units`, keyed by

@@ -1,19 +1,17 @@
 """The rolling-horizon control service behind ``repro serve``.
 
-Architecture (one asyncio event loop, two tasks, one bounded queue):
-
-* a **producer** drains a streaming trace source — any iterator of
-  :class:`repro.workload.trace.TickDemand`, typically
-  :func:`repro.workload.trace.stream_trace_ticks` — into an
-  ``asyncio.Queue`` of bounded depth (back-pressure: trace generation
-  never runs unboundedly ahead of control);
-* a **consumer** takes one tick at a time and runs the control step:
-  re-solve the first-step assignment for the tick's arrival-rate vector
-  with the previous tick's :class:`~repro.core.warmstart.SolveState`
-  as a warm start, transient-guard the transition
-  (:func:`repro.core.controller.plan_with_transient_guard`), then admit
-  arrivals against the plan's execution-rate capacity and shed the
-  excess.
+Architecture: one plain loop.  The service pulls one tick at a time
+from a streaming trace source — any iterator of
+:class:`repro.workload.trace.TickDemand`, typically
+:func:`repro.workload.trace.stream_trace_ticks`, so trace generation
+never runs ahead of control — and runs the control step on it:
+re-solve the first-step assignment for the tick's arrival-rate vector
+with the previous tick's :class:`~repro.core.warmstart.SolveState` as a
+warm start, transient-guard the transition
+(:func:`repro.core.controller.plan_with_transient_guard`), then admit
+arrivals against the plan's execution-rate capacity and shed the
+excess.  The step is synchronous and CPU-bound, so the loop has nothing
+to overlap and needs no event loop.
 
 Warm-start economics: between ticks only the arrival-rate vector
 changes, which is exactly the ``"stage1"`` reuse level — Stage 1 and
@@ -29,9 +27,8 @@ times, so two runs with the same seed produce identical tick logs
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field, replace
-from typing import AsyncIterator, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,8 +66,6 @@ class ServeConfig:
         using only the value-exact reuse levels; ``"seed"`` also allows
         the heuristic seeded search after a cap change; ``"off"``
         solves every tick cold.
-    queue_depth:
-        Bound of the producer/consumer queue (back-pressure).
     controller:
         ``"interval"`` (default) replans each tick reactively with the
         transient guard; ``"mpc"`` plans with the receding-horizon
@@ -88,7 +83,6 @@ class ServeConfig:
     derate_step: float = 0.05
     max_derate: int = 10
     warm: str = "replay"
-    queue_depth: int = 4
     controller: str = "interval"
     horizon_ticks: int = 3
     precool_step_c: float = 1.0
@@ -100,8 +94,6 @@ class ServeConfig:
         if self.warm not in ("off", "replay", "seed"):
             raise ValueError(
                 f"warm must be 'off', 'replay' or 'seed', got {self.warm!r}")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
         if self.controller not in ("interval", "mpc"):
             raise ValueError(
                 f"controller must be 'interval' or 'mpc', "
@@ -352,8 +344,7 @@ class ControlService:
                 return self._shed_all(demand)
             if cfg.warm != "off":
                 self._warm = plan.state
-            runtime = plan.state.runtime
-            warm_level = runtime.level if runtime is not None else "none"
+            warm_level = plan.warm_level
 
         # propagate the room's operating point for the next transition
         model = self.datacenter.require_thermal()
@@ -376,50 +367,27 @@ class ControlService:
             shed=shed_tasks > 0, precooled=precooled)
 
     # ------------------------------------------------------------------
-    async def _produce(self, source: Iterable[TickDemand],
-                       queue: asyncio.Queue) -> None:
-        for demand in source:
-            await queue.put(demand)
-        await queue.put(None)  # end-of-stream sentinel
-
-    async def _consume(self, queue: asyncio.Queue,
-                       result: ServeResult) -> None:
-        while True:
-            demand = await queue.get()
-            if demand is None:
-                return
-            with obs_span("serve.tick", index=demand.index):
-                record = self._control_step(demand)
-            obs_metrics.counter("serve.ticks").inc()
-            result.ticks.append(record)
-
-    async def run(self, source: Iterable[TickDemand] | Iterator[TickDemand]
-                  ) -> ServeResult:
-        """Consume ``source`` to exhaustion and return the run log."""
-        result = ServeResult(tick_s=self.config.tick_s)
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        with obs_span("serve", tick_s=self.config.tick_s,
-                      warm=self.config.warm):
-            async with asyncio.TaskGroup() as group:
-                group.create_task(self._produce(source, queue))
-                group.create_task(self._consume(queue, result))
-        return result
-
-    async def stream(self, source: Iterable[TickDemand]
-                     ) -> AsyncIterator[TickRecord]:
+    def stream(self, source: Iterable[TickDemand]) -> Iterator[TickRecord]:
         """Process ticks lazily, yielding each record as it completes."""
         for demand in source:
             with obs_span("serve.tick", index=demand.index):
                 record = self._control_step(demand)
             obs_metrics.counter("serve.ticks").inc()
             yield record
-            await asyncio.sleep(0)  # cooperative scheduling point
+
+    def run(self, source: Iterable[TickDemand]) -> ServeResult:
+        """Consume ``source`` to exhaustion and return the run log."""
+        result = ServeResult(tick_s=self.config.tick_s)
+        with obs_span("serve", tick_s=self.config.tick_s,
+                      warm=self.config.warm):
+            result.ticks.extend(self.stream(source))
+        return result
 
 
 def serve_trace(datacenter: DataCenter, workload: Workload, p_const: float,
                 source: Iterable[TickDemand],
                 config: ServeConfig | None = None,
                 forecast: ForecastProvider | None = None) -> ServeResult:
-    """Synchronous convenience wrapper: run the service to completion."""
-    service = ControlService(datacenter, workload, p_const, config, forecast)
-    return asyncio.run(service.run(source))
+    """Run a fresh service over ``source`` to completion."""
+    return ControlService(datacenter, workload, p_const, config,
+                          forecast).run(source)

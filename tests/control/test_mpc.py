@@ -1,4 +1,4 @@
-"""Tests for repro.control.mpc — planner ladder, warm chains, controller."""
+"""Tests for repro.control.mpc — planner ladder, warm chains, MPC arm."""
 
 import json
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.control.mpc import MPCConfig, MPCController, MPCPlanner
-from repro.core.controller import EpochController, ShedPlan, idle_start_t_out
+from repro.control.mpc import MPCConfig, MPCPlanner
+from repro.core.controller import ShedPlan, idle_start_t_out
 from repro.experiments import PAPER_SET_1, generate_scenario, scaled_down
-from repro.workload import ConstantProfile, FlashCrowdProfile
+from repro.faults import FaultAwareController, FaultSchedule, ReactionPolicy
+from repro.workload import (ConstantProfile, FlashCrowdProfile,
+                            generate_nonstationary_trace)
 
 from tests.conftest import SEED
 
@@ -181,63 +183,71 @@ class TestWarmChains:
         assert warm_d.plan.reward_rate == cold_d.plan.reward_rate
 
 
+def _run_loop(sc, profile, horizon_s, controller="mpc", **policy):
+    """One trace realization, replayed through the epoch loop."""
+    trace = generate_nonstationary_trace(sc.workload, profile, horizon_s,
+                                         np.random.default_rng(SEED + 1))
+    if controller == "mpc":
+        policy.setdefault("mpc", MPCConfig(**FAST))
+        policy.setdefault("tau_s", FAST["tau_s"])
+    loop = FaultAwareController(
+        sc.datacenter, sc.workload, sc.p_const,
+        ReactionPolicy(controller=controller, epoch_s=STEP_S, **policy))
+    return loop.run(trace, horizon_s, FaultSchedule.empty(),
+                    profile=profile)
+
+
 class TestController:
+    """The MPC arm of the epoch loop (``ReactionPolicy(controller="mpc")``)."""
+
     def test_run_over_constant_profile(self, sc):
         profile = ConstantProfile(base_rates=sc.workload.arrival_rates)
-        ctrl = MPCController(sc.datacenter, sc.workload, sc.p_const,
-                             MPCConfig(**FAST))
-        result = ctrl.run(profile, 3 * STEP_S,
-                          np.random.default_rng(SEED + 1))
-        assert len(result.epochs) == 3
+        result = _run_loop(sc, profile, 3 * STEP_S)
+        assert len(result.intervals) == 3
         assert result.total_reward > 0
         assert result.reward_rate > 0
-        assert result.epochs[0].warm_level == "none"
+        assert result.intervals[0].warm_level == "none"
+        assert result.intervals[0].predicted_overshoot_c is None
         assert all(e.warm_level in ("stage1", "request")
-                   for e in result.epochs[1:])
-        assert result.shed_epochs == 0
+                   for e in result.intervals[1:])
+        assert all(e.predicted_overshoot_c is not None
+                   and e.transient_overshoot_c is not None
+                   for e in result.intervals[1:])
+        assert result.shed_intervals == 0
 
     def test_matches_interval_controller_on_easy_room(self, sc):
-        """On a clean constant-rate room neither controller escalates,
-        and both replay the same trace through the same DES — the MPC
-        run earns at least the memoryless controller's reward."""
+        """On a clean constant-rate room neither arm escalates, and both
+        replay the same trace through the same DES — the MPC run earns
+        the interval arm's reward."""
         profile = ConstantProfile(base_rates=sc.workload.arrival_rates)
-
-        def rng():
-            return np.random.default_rng(SEED + 1)
-
-        mpc = MPCController(sc.datacenter, sc.workload, sc.p_const,
-                            MPCConfig(**FAST)).run(
-            profile, 2 * STEP_S, rng())
-        interval = EpochController(sc.datacenter, sc.workload, sc.p_const,
-                                   epoch_s=STEP_S).run(
-            profile, 2 * STEP_S, rng())
+        mpc = _run_loop(sc, profile, 2 * STEP_S)
+        interval = _run_loop(sc, profile, 2 * STEP_S, controller="interval")
         assert mpc.total_reward == pytest.approx(interval.total_reward)
         assert mpc.violation_minutes == 0.0
+        assert interval.violation_minutes == 0.0
 
     def test_to_dict_is_json_clean(self, sc):
         profile = FlashCrowdProfile(
             ConstantProfile(base_rates=sc.workload.arrival_rates),
             bursts=((STEP_S, STEP_S, 3.0),))
-        ctrl = MPCController(sc.datacenter, sc.workload, sc.p_const,
-                             MPCConfig(**FAST))
-        result = ctrl.run(profile, 2 * STEP_S,
-                          np.random.default_rng(SEED + 1))
-        doc = json.loads(json.dumps(result.to_dict()))
+        result = _run_loop(sc, profile, 2 * STEP_S)
+        doc = json.loads(json.dumps(result.to_dict(), allow_nan=False))
         assert doc["schema"] == 1
-        assert len(doc["epochs"]) == 2
+        assert len(doc["intervals"]) == 2
         assert doc["total_reward"] == pytest.approx(result.total_reward)
-        for epoch in doc["epochs"]:
-            assert "wall" not in " ".join(epoch)
+        for epoch in doc["intervals"]:
+            for key in ("predicted_overshoot_c", "transient_overshoot_c",
+                        "violation_minutes", "warm_level", "precooled",
+                        "t_crac_out_c"):
+                assert key in epoch, key
 
     def test_invalid_inputs_rejected(self, sc):
         with pytest.raises(ValueError, match="power cap"):
-            MPCController(sc.datacenter, sc.workload, 0.0)
+            FaultAwareController(sc.datacenter, sc.workload, 0.0,
+                                 ReactionPolicy(controller="mpc"))
         with pytest.raises(ValueError, match="forecast"):
-            MPCController(sc.datacenter, sc.workload, sc.p_const,
-                          forecast="psychic")
-        ctrl = MPCController(sc.datacenter, sc.workload, sc.p_const,
-                             MPCConfig(**FAST))
+            ReactionPolicy(controller="mpc", forecast="psychic")
+        loop = FaultAwareController(sc.datacenter, sc.workload, sc.p_const,
+                                    ReactionPolicy(controller="mpc"))
         with pytest.raises(ValueError, match="horizon"):
-            ctrl.run(ConstantProfile(
-                base_rates=sc.workload.arrival_rates), 0.0,
-                np.random.default_rng(1))
+            loop.run([], 0.0, FaultSchedule.empty())

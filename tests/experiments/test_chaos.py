@@ -99,6 +99,30 @@ class TestSweep:
         assert sum(p.n_replans for p in points) > 0
         assert blobs[0] == blobs[1]
 
+    def test_cache_keys_need_no_room(self, tmp_path, monkeypatch):
+        """The cache keys carry the generated room's CRAC count (caches
+        written before stay valid) without generating the room, so a
+        fully cached sweep never builds one."""
+        from repro.experiments import chaos as chaos_mod
+        from repro.experiments.config import PAPER_SET_1, scaled_down
+        from repro.experiments.engine import load_point
+        from repro.experiments.generator import generate_scenario
+
+        cache = str(tmp_path)
+        first = sweep_chaos(CONFIG, [], cache_dir=cache)
+        room = generate_scenario(scaled_down(PAPER_SET_1, CONFIG.n_nodes),
+                                 CONFIG.seed)
+        extra = CONFIG.cache_extra(0.0, room.datacenter.n_crac)
+        assert load_point(cache, CONFIG.cache_tag(), extra) is not None
+
+        def no_room(*args, **kwargs):
+            raise AssertionError("room generated for a cached sweep")
+
+        monkeypatch.setattr(chaos_mod, "generate_scenario", no_room)
+        resumed = sweep_chaos(CONFIG, [], cache_dir=cache, resume=True)
+        assert [p.to_dict() for p in resumed] == \
+            [p.to_dict() for p in first]
+
     def test_cache_key_sensitive_to_config(self, tmp_path):
         cache = str(tmp_path / "cache")
         sweep_chaos(CONFIG, [0.5], cache_dir=cache, resume=False)

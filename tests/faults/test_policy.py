@@ -47,7 +47,10 @@ class TestEmptySchedule:
         iv = result.intervals[0]
         assert (iv.start_s, iv.end_s, iv.cause) == (0.0, HORIZON, "start")
         assert iv.derated == 0
-        assert iv.transient_overshoot_c is None  # cold start
+        # cold start: nothing to transition from, nothing forecast
+        assert iv.predicted_overshoot_c is None
+        assert iv.transient_overshoot_c is None
+        assert iv.warm_level == "none"
         assert result.n_replans == 0
         assert result.violation_minutes == 0.0
 
@@ -87,8 +90,11 @@ class TestCracOutageReaction:
             ["start", "fault:crac_outage", "recovery:crac_outage"]
         assert result.n_replans == 2
         outage_iv = result.intervals[1]
-        # the degraded plan was re-solved, and its transition stayed
-        # below every redline
+        # the degraded plan was re-solved, the guard forecast a clean
+        # transition, and the transition the room took stayed below
+        # every redline
+        assert outage_iv.predicted_overshoot_c is not None
+        assert outage_iv.predicted_overshoot_c <= 1e-6
         assert outage_iv.transient_overshoot_c is not None
         assert outage_iv.transient_overshoot_c <= 1e-6
         assert outage_iv.violation_minutes == 0.0

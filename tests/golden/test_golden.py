@@ -139,38 +139,45 @@ def test_stage1_zonal_golden(golden):
 
 
 def test_mpc_trajectory_golden(golden):
-    """One MPC controller run, epoch by epoch, on a flash-crowd trace.
+    """The epoch loop's MPC arm, epoch by epoch, on a flash-crowd trace.
 
     Pins the committed operating points (CRAC outlets, reward rates),
-    the escalation ladder (pre-cool/derate levels) and the measured
-    transition diagnostics, so a planner/predictor change that moves
-    any decision shows up as a per-epoch diff.
+    the escalation ladder (pre-cool/derate levels), the planner's
+    forecast and the measured transition diagnostics, so a
+    planner/predictor change that moves any decision shows up as a
+    per-epoch diff.
     """
-    from repro.control.mpc import MPCConfig, MPCController
-    from repro.workload import ConstantProfile, FlashCrowdProfile
+    from repro.control.mpc import MPCConfig
+    from repro.faults import (FaultAwareController, FaultSchedule,
+                              ReactionPolicy)
+    from repro.workload import (ConstantProfile, FlashCrowdProfile,
+                                generate_nonstationary_trace)
 
     sc = generate_scenario(scaled_down(PAPER_SET_1, 10), SEED)
     profile = FlashCrowdProfile(
         ConstantProfile(base_rates=sc.workload.arrival_rates),
         bursts=((30.0, 30.0, 3.0),))
-    controller = MPCController(
-        sc.datacenter, sc.workload, sc.p_const,
-        MPCConfig(horizon_steps=3, step_s=30.0, tau_s=60.0,
-                  settle_factor=3.0))
-    result = controller.run(profile, 90.0, np.random.default_rng(SEED + 1))
+    trace = generate_nonstationary_trace(sc.workload, profile, 90.0,
+                                         np.random.default_rng(SEED + 1))
+    policy = ReactionPolicy(
+        controller="mpc", tau_s=60.0,
+        mpc=MPCConfig(horizon_steps=3, step_s=30.0, tau_s=60.0,
+                      settle_factor=3.0))
+    result = FaultAwareController(
+        sc.datacenter, sc.workload, sc.p_const, policy).run(
+        trace, 90.0, FaultSchedule.empty(), profile=profile)
     golden("mpc_trajectory", {
         "reward_rate": result.reward_rate,
         "total_reward": result.total_reward,
         "violation_minutes": result.violation_minutes,
         "precools": result.precools,
         "derates": result.derates,
-        "shed_epochs": result.shed_epochs,
+        "shed_epochs": result.shed_intervals,
         "epochs": [{
             "start_s": e.start_s,
             "end_s": e.end_s,
-            "rates": [float(r) for r in e.rates],
-            "plan_reward_rate": float(e.plan.reward_rate),
-            "t_crac_out_c": [float(t) for t in e.plan.t_crac_out],
+            "plan_reward_rate": e.plan_reward_rate,
+            "t_crac_out_c": e.t_crac_out_c,
             "precooled": e.precooled,
             "derated": e.derated,
             "predicted_overshoot_c": e.predicted_overshoot_c,
@@ -178,7 +185,7 @@ def test_mpc_trajectory_golden(golden):
             "violation_minutes": e.violation_minutes,
             "warm_level": e.warm_level,
             "shed": e.shed,
-        } for e in result.epochs],
+        } for e in result.intervals],
     })
 
 

@@ -39,10 +39,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="warm"):
             ServeConfig(warm="sometimes")
 
-    def test_invalid_queue_depth_rejected(self):
-        with pytest.raises(ValueError, match="queue_depth"):
-            ServeConfig(queue_depth=0)
-
 
 class TestDeterminism:
     def test_same_seed_same_tick_log(self, serve_scenario):
@@ -135,9 +131,7 @@ class TestObservability:
 
 
 class TestStream:
-    def test_async_stream_yields_records(self, serve_scenario):
-        import asyncio
-
+    def test_stream_yields_records_lazily(self, serve_scenario):
         service = ControlService(serve_scenario.datacenter,
                                  serve_scenario.workload,
                                  serve_scenario.p_const,
@@ -145,12 +139,23 @@ class TestStream:
         ticks = stream_trace_ticks(serve_scenario.workload,
                                    _diurnal(serve_scenario, 3), TICK_S, 3,
                                    np.random.default_rng(SEED + 1))
+        pulled = []
 
-        async def collect():
-            return [r async for r in service.stream(ticks)]
+        def source():
+            for demand in ticks:
+                pulled.append(demand.index)
+                yield demand
 
-        records = asyncio.run(collect())
+        stream = service.stream(source())
+        first = next(stream)
+        # one tick pulled per record: the trace never runs ahead
+        assert first.index == 0 and pulled == [0]
+        records = [first, *stream]
         assert [r.index for r in records] == [0, 1, 2]
+        # the streamed log is the batch run's log
+        batch = _run(serve_scenario, _diurnal(serve_scenario, 3), 3)
+        assert [r.to_dict() for r in records] == \
+            [t.to_dict() for t in batch.ticks]
 
     def test_invalid_cap_rejected(self, serve_scenario):
         with pytest.raises(ValueError, match="power cap"):

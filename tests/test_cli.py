@@ -5,6 +5,10 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 class TestParser:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -109,6 +113,31 @@ class TestCommands:
         assert doc["planned_reward_rate"] > 0
         assert doc["duration_s"] == 5.0
         assert isinstance(doc["completed"], list)
+
+    @pytest.mark.parametrize("controller", ["interval", "mpc"])
+    def test_simulate_controller_json_is_strict(self, capsys, controller):
+        import json
+
+        assert main(["simulate", "--nodes", "6", "--horizon", "120",
+                     "--epoch-s", "30", "--controller", controller,
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+        assert doc["controller"] == controller
+        assert doc["n_epochs"] == 4
+        assert doc["reward_rate"] > 0
+        assert doc["violation_minutes"] >= 0.0
+
+    def test_tournament_json_without_anchor_is_strict(self, capsys):
+        import json
+
+        assert main(["tournament", "--nodes", "6", "--backends",
+                     "annealing", "--max-evals", "40", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+        (point,) = doc["points"]
+        assert point["backend"] == "annealing"
+        assert point["gap_pct"] is None
 
     def test_chaos_sweep_json(self, capsys, tmp_path):
         import json
