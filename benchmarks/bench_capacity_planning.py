@@ -28,11 +28,12 @@ def bench_capacity_planning(benchmark, capsys, bench_scenario_set3):
         print(f"{'cap kW':>8}{'3-stage/s':>11}{'baseline/s':>12}"
               f"{'edge %':>8}{'marginal r/kW':>15}")
         for p in points:
-            marg = ("-" if np.isnan(p.marginal_reward_per_kw)
+            marg = ("-" if p.marginal_reward_per_kw is None
                     else f"{p.marginal_reward_per_kw:.1f}")
+            edge = ("---" if p.improvement_pct is None
+                    else f"{p.improvement_pct:+.2f}")
             print(f"{p.p_const:>8.1f}{p.reward_three_stage:>11.1f}"
-                  f"{p.reward_baseline:>12.1f}{p.improvement_pct:>+8.2f}"
-                  f"{marg:>15}")
+                  f"{p.reward_baseline:>12.1f}{edge:>8}{marg:>15}")
         tight, loose = points[0], points[-1]
         print(f"edge shrinks from {tight.improvement_pct:+.2f}% (tight) "
               f"to {loose.improvement_pct:+.2f}% (near flat-out)")

@@ -32,12 +32,15 @@ def main(n_nodes: int = 25, seed: int = 4) -> None:
 
     print(f"{'cap kW':>8}{'reward/s':>10}{'baseline/s':>12}{'edge %':>8}"
           f"{'used kW':>9}{'reward/kW':>11}")
-    best_edge = max(points, key=lambda p: p.improvement_pct)
+    best_edge = max((p for p in points if p.improvement_pct is not None),
+                    key=lambda p: p.improvement_pct)
     for p in points:
-        marginal = ("      -" if np.isnan(p.marginal_reward_per_kw)
+        marginal = ("      -" if p.marginal_reward_per_kw is None
                     else f"{p.marginal_reward_per_kw:>11.1f}")
+        edge = ("---" if p.improvement_pct is None
+                else f"{p.improvement_pct:+.2f}")
         print(f"{p.p_const:>8.1f}{p.reward_three_stage:>10.1f}"
-              f"{p.reward_baseline:>12.1f}{p.improvement_pct:>+8.2f}"
+              f"{p.reward_baseline:>12.1f}{edge:>8}"
               f"{p.power_used_kw:>9.1f}{marginal:>11}")
     print(f"\nthermal-aware edge peaks at cap {best_edge.p_const:.1f} kW "
           f"({best_edge.improvement_pct:+.2f}%) — in deeply "

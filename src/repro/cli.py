@@ -342,11 +342,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = sweep_power_cap(
         sc.datacenter, sc.workload, caps, jobs=args.jobs,
         cache_dir=args.cache_dir, resume=args.resume,
-        cache_tag=f"sweep-set3-n{args.nodes}-seed{args.seed}")
+        tag=f"sweep-set3-n{args.nodes}-seed{args.seed}")
     print(f"{'cap kW':>8}{'3-stage/s':>11}{'baseline/s':>12}{'edge %':>8}")
     for p in points:
+        base = ("---" if p.reward_baseline is None
+                else f"{p.reward_baseline:.1f}")
+        edge = ("---" if p.improvement_pct is None
+                else f"{p.improvement_pct:+.2f}")
         print(f"{p.p_const:>8.1f}{p.reward_three_stage:>11.1f}"
-              f"{p.reward_baseline:>12.1f}{p.improvement_pct:>+8.2f}")
+              f"{base:>12}{edge:>8}")
     if args.csv:
         write_csv(capacity_csv(points), args.csv)
         print(f"series written to {args.csv}")

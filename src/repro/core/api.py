@@ -112,7 +112,9 @@ class SolveOptions:
         is **off by default**: without it a warm start only engages the
         value-exact reuse levels and warm results match cold results
         bit-for-bit.  When only arrival rates changed the seed is exact
-        and used regardless of this flag.
+        and used regardless of this flag.  It is the one field left out
+        of the warm-start digests
+        (:data:`repro.core.warmstart.DIGEST_EXEMPT`).
     backend:
         Solver backend :func:`solve` dispatches to when no explicit
         ``method=`` is given (see :mod:`repro.solvers`).  The default
@@ -142,7 +144,7 @@ class SolveOptions:
     final_step: float = 1.0
     temp_step: float = 3.0
     max_assignments: int = 200_000
-    warm_seed: bool = False  # repro-lint: cache-exempt(changes the search path, never solution values; hashing it would defeat warm-start reuse)
+    warm_seed: bool = False
     backend: str = "three_stage"
     seed: int = 0
     max_evals: int = 2000
@@ -178,7 +180,7 @@ class SolveRequest:
     workload: Workload
     p_const: float
     options: SolveOptions = field(default_factory=SolveOptions)
-    warm_start: SolveState | None = None  # repro-lint: cache-exempt(a reuse hint; the digests decide what it may replay, so it cannot change results)
+    warm_start: SolveState | None = None
 
     def with_options(self, **changes: object) -> "SolveRequest":
         """A copy of this request with some options replaced."""

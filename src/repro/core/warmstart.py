@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
@@ -54,6 +54,11 @@ __all__ = ["Digests", "SolveState", "WarmContext", "WarmPool",
 
 #: Reuse grades, strongest first (see module docstring).
 LEVELS = ("request", "stage1", "structure", "none")
+
+#: ``SolveOptions`` fields left out of the structure digest.
+#: ``warm_seed`` changes the search path, never solution values, and
+#: hashing it would defeat warm-start reuse.
+DIGEST_EXEMPT = frozenset({"warm_seed"})
 
 #: Soft cap on cached LP solutions per chained context; the cache only
 #: grows when the power cap keeps changing, and eviction affects speed,
@@ -88,9 +93,10 @@ def compute_digests(datacenter: DataCenter, workload: Workload,
     """Digest a request at one aggregation level.
 
     ``psi`` defaults to ``options.psi``; the ``best_psi`` method digests
-    each of its per-ψ children separately.  Every option knob that can
-    move solver output is folded into the structure digest, so a knob
-    change can never silently replay a stale result.
+    each of its per-ψ children separately.  Every ``SolveOptions`` field
+    but :data:`DIGEST_EXEMPT` is folded into the structure digest, in
+    declaration order, so a new knob can never silently replay a stale
+    result.
     """
     model = datacenter.require_thermal()
     h = hashlib.sha256()
@@ -114,12 +120,15 @@ def compute_digests(datacenter: DataCenter, workload: Workload,
     _hash_array(h, workload.ecs)
     _hash_array(h, workload.rewards)
     _hash_array(h, workload.deadline_slack)
-    psi_val = options.psi if psi is None else float(psi)
-    h.update(repr((psi_val, tuple(options.psis), options.search,
-                   options.coarse_step, options.final_step,
-                   options.temp_step, options.max_assignments,
-                   options.backend, options.seed, options.max_evals,
-                   options.thermal_backend)).encode())
+    knobs = []
+    for f in fields(options):
+        if f.name in DIGEST_EXEMPT:
+            continue
+        value = getattr(options, f.name)
+        if f.name == "psi" and psi is not None:
+            value = float(psi)
+        knobs.append(tuple(value) if isinstance(value, list) else value)
+    h.update(repr(tuple(knobs)).encode())
     structure = h.hexdigest()
     stage1 = hashlib.sha256(
         (structure + repr(float(p_const))).encode()).hexdigest()

@@ -13,12 +13,10 @@ fault-free run — and every other factor is reported relative to it:
 * **tasks lost / requeued** — explicit stranded-task accounting.
 
 Every point is a pure function of ``(ChaosConfig, factor)``, so the
-sweep rides the PR-1 engine unchanged: points fan out over worker
-processes (:func:`~repro.experiments.engine.parallel_map`, workers
-recompute from the config so results are identical across ``--jobs``)
-and land in the generic point cache
-(:func:`~repro.experiments.engine.load_point` /
-:func:`~repro.experiments.engine.store_point`).  Wall-clock fields
+sweep is one call of :func:`~repro.experiments.engine.sweep`: points
+fan out over worker processes (workers recompute from the config, so
+results are identical across ``--jobs``) and are cached per point under
+a key derived from every config field.  Wall-clock fields
 (``mean_replan_s``) are measured, not derived, and are the one part of
 a point that legitimately varies between executions.
 """
@@ -26,12 +24,11 @@ a point that legitimately varies between executions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from repro.experiments.config import PAPER_SET_1, scaled_down
-from repro.experiments.engine import load_point, parallel_map, store_point
+from repro.experiments.engine import SweepPoint, sweep
 from repro.experiments.generator import Scenario, generate_scenario
 from repro.faults.model import FaultSchedule
 from repro.faults.policy import (ChaosRunResult, FaultAwareController,
@@ -40,8 +37,9 @@ from repro.faults.schedule import (FaultRates, demo_rates,
                                    generate_fault_schedule)
 from repro.workload.trace import generate_trace
 
-__all__ = ["ChaosConfig", "ChaosPoint", "run_chaos_point",
-           "run_chaos_scenario", "sweep_chaos", "chaos_table"]
+__all__ = ["ChaosConfig", "ChaosPoint", "fault_schedule",
+           "run_chaos_point", "run_chaos_scenario", "sweep_chaos",
+           "chaos_table"]
 
 
 @dataclass(frozen=True)
@@ -76,27 +74,9 @@ class ChaosConfig:
     rates: FaultRates | None = None
     controller: str = "interval"
 
-    def resolved_rates(self, n_crac: int) -> FaultRates:
-        if self.rates is not None:
-            return self.rates
-        return demo_rates(self.horizon_s, self.n_nodes, n_crac)
-
-    def cache_tag(self) -> str:
-        return f"chaos-n{self.n_nodes}-seed{self.seed}"
-
-    def cache_extra(self, factor: float, n_crac: int) -> dict:
-        return {
-            "horizon_s": self.horizon_s,
-            "psi": self.psi,
-            "stranded": self.stranded,
-            "rates": self.resolved_rates(n_crac).to_dict(),
-            "factor": factor,
-            "controller": self.controller,
-        }
-
 
 @dataclass
-class ChaosPoint:
+class ChaosPoint(SweepPoint):
     """One factor's summary in a chaos sweep.
 
     ``reward_retained`` is filled in by :func:`sweep_chaos` relative to
@@ -129,33 +109,6 @@ class ChaosPoint:
                    mean_replan_s=result.mean_replan_s,
                    detail=result.to_dict())
 
-    def to_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "n_fault_events": self.n_fault_events,
-            "reward_rate": self.reward_rate,
-            "violation_minutes": self.violation_minutes,
-            "tasks_lost": self.tasks_lost,
-            "tasks_requeued": self.tasks_requeued,
-            "n_replans": self.n_replans,
-            "mean_replan_s": self.mean_replan_s,
-            "reward_retained": self.reward_retained,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ChaosPoint":
-        return cls(factor=float(doc["factor"]),
-                   n_fault_events=int(doc["n_fault_events"]),
-                   reward_rate=float(doc["reward_rate"]),
-                   violation_minutes=float(doc["violation_minutes"]),
-                   tasks_lost=int(doc["tasks_lost"]),
-                   tasks_requeued=int(doc["tasks_requeued"]),
-                   n_replans=int(doc["n_replans"]),
-                   mean_replan_s=float(doc["mean_replan_s"]),
-                   reward_retained=doc.get("reward_retained"),
-                   detail=doc.get("detail", {}))
-
 
 def _chaos_inputs(config: ChaosConfig) -> tuple[Scenario, list]:
     """The exact room and trace ``repro simulate`` would use."""
@@ -164,6 +117,23 @@ def _chaos_inputs(config: ChaosConfig) -> tuple[Scenario, list]:
     trace = generate_trace(scenario.workload, config.horizon_s,
                            np.random.default_rng(config.seed + 1))
     return scenario, trace
+
+
+def fault_schedule(config, n_crac: int, factor: float) -> FaultSchedule:
+    """The fault timeline of one rate factor (shared with the control sweep).
+
+    ``config`` carries ``n_nodes``/``seed``/``horizon_s``/``rates``;
+    ``rates=None`` derives :func:`~repro.faults.schedule.demo_rates`
+    from the room.  Factor 0 is the empty schedule (the healthy
+    control), not a zero-rate draw, so it consumes no random numbers.
+    """
+    if factor == 0:
+        return FaultSchedule.empty()
+    rates = config.rates if config.rates is not None \
+        else demo_rates(config.horizon_s, config.n_nodes, n_crac)
+    return generate_fault_schedule(
+        config.n_nodes, n_crac, config.horizon_s, rates.scaled(factor),
+        np.random.default_rng(config.seed + 2))
 
 
 def run_chaos_scenario(config: ChaosConfig,
@@ -181,21 +151,12 @@ def run_chaos_point(config: ChaosConfig, factor: float) -> ChaosPoint:
     """One sweep point: draw the factor's timeline, run, summarize.
 
     Pure in ``(config, factor)`` up to measured wall times — a worker
-    process recomputing it returns the same simulated numbers.  Factor 0
-    uses the empty schedule (the healthy control), not a zero-rate draw,
-    so it consumes no random numbers.
+    process recomputing it returns the same simulated numbers.
     """
     if factor < 0:
         raise ValueError("rate factor must be >= 0")
     scenario, trace = _chaos_inputs(config)
-    n_crac = scenario.datacenter.n_crac
-    if factor == 0:
-        schedule = FaultSchedule.empty()
-    else:
-        schedule = generate_fault_schedule(
-            config.n_nodes, n_crac, config.horizon_s,
-            config.resolved_rates(n_crac).scaled(factor),
-            np.random.default_rng(config.seed + 2))
+    schedule = fault_schedule(config, scenario.datacenter.n_crac, factor)
     controller = FaultAwareController(
         scenario.datacenter, scenario.workload, scenario.p_const,
         ReactionPolicy(psi=config.psi, stranded=config.stranded,
@@ -209,40 +170,20 @@ def sweep_chaos(config: ChaosConfig, factors: list[float], *,
                 resume: bool = False) -> list[ChaosPoint]:
     """Sweep fault-rate factors; always includes the factor-0 control.
 
-    Points are cached individually (keyed on the config and factor) and
-    computed through :func:`~repro.experiments.engine.parallel_map`, so
+    Points run through :func:`~repro.experiments.engine.sweep`, so
     ``--jobs`` and ``--resume`` behave exactly as in the other sweeps.
     Returned points are sorted by factor with ``reward_retained`` filled
     in relative to the control.
     """
     wanted = sorted(set(float(f) for f in factors) | {0.0})
-    # the generator builds the room with the config's CRAC count, so the
-    # cache keys need no room (nor trace) generated in this process
-    n_crac = scaled_down(PAPER_SET_1, config.n_nodes).n_crac
-    points: dict[float, ChaosPoint] = {}
-    pending: list[float] = []
-    for factor in wanted:
-        payload = None
-        if cache_dir is not None and resume:
-            payload = load_point(cache_dir, config.cache_tag(),
-                                 config.cache_extra(factor, n_crac))
-        if payload is not None:
-            points[factor] = ChaosPoint.from_dict(payload["point"])
-        else:
-            pending.append(factor)
-    computed = parallel_map(partial(run_chaos_point, config), pending,
-                            jobs=jobs)
-    for factor, point in zip(pending, computed):
-        points[factor] = point
-        if cache_dir is not None:
-            store_point(cache_dir, config.cache_tag(),
-                        config.cache_extra(factor, n_crac),
-                        {"point": point.to_dict()})
-    baseline = points[0.0].reward_rate
-    for point in points.values():
+    points = sweep("chaos", config, [{"factor": f} for f in wanted],
+                   run_chaos_point, ChaosPoint, jobs=jobs,
+                   cache_dir=cache_dir, resume=resume)
+    baseline = points[0].reward_rate
+    for point in points:
         point.reward_retained = (point.reward_rate / baseline
                                  if baseline > 0 else None)
-    return [points[f] for f in wanted]
+    return points
 
 
 def chaos_table(points: list[ChaosPoint]) -> str:

@@ -21,25 +21,23 @@ Points carry no wall-clock fields and no measured-time detail, so a
 point is a *byte-identical* pure function of ``(config, arm)`` —
 ``--jobs 2`` must reproduce ``--jobs 1`` exactly (the CI ``mpc-smoke``
 job diffs the JSON) and the small sweep is pinned as a golden baseline.
-Caching and fan-out ride the PR-1 engine unchanged.
+Caching and fan-out are the engine's :func:`~repro.experiments.engine.sweep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.control.mpc import MPCConfig
+from repro.experiments.chaos import fault_schedule
 from repro.experiments.config import PAPER_SET_1, scaled_down
-from repro.experiments.engine import load_point, parallel_map, store_point
+from repro.experiments.engine import SweepPoint, sweep
 from repro.experiments.generator import Scenario, generate_scenario
-from repro.faults.model import FaultSchedule
 from repro.faults.policy import (ChaosRunResult, FaultAwareController,
                                  ReactionPolicy)
-from repro.faults.schedule import (FaultRates, demo_rates,
-                                   generate_fault_schedule)
+from repro.faults.schedule import FaultRates
 from repro.workload.profiles import (ConstantProfile,
                                      generate_nonstationary_trace)
 from repro.workload.trace import FlashCrowdProfile
@@ -120,36 +118,9 @@ class ControlConfig:
                 max_precool=self.max_precool) if controller == "mpc"
             else None)
 
-    def resolved_rates(self, n_crac: int) -> FaultRates:
-        if self.rates is not None:
-            return self.rates
-        return demo_rates(self.horizon_s, self.n_nodes, n_crac)
-
-    def cache_tag(self) -> str:
-        return f"control-n{self.n_nodes}-seed{self.seed}"
-
-    def cache_extra(self, controller: str, factor: float,
-                    n_crac: int) -> dict:
-        return {
-            "horizon_s": self.horizon_s,
-            "epoch_s": self.epoch_s,
-            "burst_start_s": self.burst_start_s,
-            "burst_duration_s": self.burst_duration_s,
-            "burst_magnitude": self.burst_magnitude,
-            "psi": self.psi,
-            "horizon_steps": self.horizon_steps,
-            "precool_step_c": self.precool_step_c,
-            "max_precool": self.max_precool,
-            "forecast": self.forecast,
-            "stranded": self.stranded,
-            "rates": self.resolved_rates(n_crac).to_dict(),
-            "controller": controller,
-            "factor": factor,
-        }
-
 
 @dataclass
-class ControlPoint:
+class ControlPoint(SweepPoint):
     """One ``(controller, factor)`` arm's summary.
 
     Deliberately carries **no wall-clock fields and no detail payload**:
@@ -185,35 +156,6 @@ class ControlPoint:
                    derates=result.derates,
                    sheds=result.shed_intervals)
 
-    def to_dict(self) -> dict:
-        return {
-            "controller": self.controller,
-            "factor": self.factor,
-            "n_fault_events": self.n_fault_events,
-            "reward_rate": self.reward_rate,
-            "violation_minutes": self.violation_minutes,
-            "tasks_lost": self.tasks_lost,
-            "n_replans": self.n_replans,
-            "precools": self.precools,
-            "derates": self.derates,
-            "sheds": self.sheds,
-            "reward_retained": self.reward_retained,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ControlPoint":
-        return cls(controller=str(doc["controller"]),
-                   factor=float(doc["factor"]),
-                   n_fault_events=int(doc["n_fault_events"]),
-                   reward_rate=float(doc["reward_rate"]),
-                   violation_minutes=float(doc["violation_minutes"]),
-                   tasks_lost=int(doc["tasks_lost"]),
-                   n_replans=int(doc["n_replans"]),
-                   precools=int(doc["precools"]),
-                   derates=int(doc["derates"]),
-                   sheds=int(doc["sheds"]),
-                   reward_retained=doc.get("reward_retained"))
-
 
 def _control_inputs(config: ControlConfig) -> tuple[Scenario, object, list]:
     """Room, profile and non-stationary trace shared by both arms."""
@@ -231,31 +173,18 @@ def run_control_point(config: ControlConfig, controller: str,
     """One arm: draw the factor's timeline, run, summarize.
 
     Byte-identically pure in ``(config, controller, factor)`` — no wall
-    times survive into the point.  Factor 0 uses the empty schedule
-    (consumes no random numbers), matching ``repro chaos``.
+    times survive into the point.  Fault timelines are drawn as in
+    ``repro chaos`` (:func:`~repro.experiments.chaos.fault_schedule`).
     """
     if factor < 0:
         raise ValueError("rate factor must be >= 0")
     scenario, profile, trace = _control_inputs(config)
-    n_crac = scenario.datacenter.n_crac
-    if factor == 0:
-        schedule = FaultSchedule.empty()
-    else:
-        schedule = generate_fault_schedule(
-            config.n_nodes, n_crac, config.horizon_s,
-            config.resolved_rates(n_crac).scaled(factor),
-            np.random.default_rng(config.seed + 2))
+    schedule = fault_schedule(config, scenario.datacenter.n_crac, factor)
     loop = FaultAwareController(
         scenario.datacenter, scenario.workload, scenario.p_const,
         config.policy(controller))
     result = loop.run(trace, config.horizon_s, schedule, profile=profile)
     return ControlPoint.from_result(controller, factor, result)
-
-
-def _run_arm(config: ControlConfig,
-             arm: tuple[str, float]) -> ControlPoint:
-    """Module-level worker wrapper (picklable for ``parallel_map``)."""
-    return run_control_point(config, arm[0], arm[1])
 
 
 def sweep_control(config: ControlConfig, factors: list[float],
@@ -265,10 +194,9 @@ def sweep_control(config: ControlConfig, factors: list[float],
     """Sweep ``controllers x factors``; always includes each arm's
     factor-0 control.
 
-    Points are cached individually and fan out through
-    :func:`~repro.experiments.engine.parallel_map`, so ``--jobs`` /
-    ``--resume`` behave exactly as in the other sweeps.  Returned
-    points are ordered controller-major, factor-minor, with
+    Points run through :func:`~repro.experiments.engine.sweep`, so
+    ``--jobs`` / ``--resume`` behave exactly as in the other sweeps.
+    Returned points are ordered controller-major, factor-minor, with
     ``reward_retained`` filled in against the same controller's
     factor-0 run.
     """
@@ -278,36 +206,17 @@ def sweep_control(config: ControlConfig, factors: list[float],
                 f"controller must be one of {CONTROLLERS}, "
                 f"got {controller!r}")
     wanted = sorted(set(float(f) for f in factors) | {0.0})
-    arms = [(c, f) for c in controllers for f in wanted]
-    # the generator builds the room with the config's CRAC count, so the
-    # cache keys need no room (nor trace) generated in this process
-    n_crac = scaled_down(PAPER_SET_1, config.n_nodes).n_crac
-    points: dict[tuple[str, float], ControlPoint] = {}
-    pending: list[tuple[str, float]] = []
-    for arm in arms:
-        payload = None
-        if cache_dir is not None and resume:
-            payload = load_point(cache_dir, config.cache_tag(),
-                                 config.cache_extra(arm[0], arm[1],
-                                                    n_crac))
-        if payload is not None:
-            points[arm] = ControlPoint.from_dict(payload["point"])
-        else:
-            pending.append(arm)
-    computed = parallel_map(partial(_run_arm, config), pending, jobs=jobs)
-    for arm, point in zip(pending, computed):
-        points[arm] = point
-        if cache_dir is not None:
-            store_point(cache_dir, config.cache_tag(),
-                        config.cache_extra(arm[0], arm[1], n_crac),
-                        {"point": point.to_dict()})
-    for controller in controllers:
-        baseline = points[(controller, 0.0)].reward_rate
-        for (c, _), point in points.items():
-            if c == controller:
-                point.reward_retained = (point.reward_rate / baseline
-                                         if baseline > 0 else None)
-    return [points[arm] for arm in arms]
+    arms = [{"controller": c, "factor": f}
+            for c in controllers for f in wanted]
+    points = sweep("control", config, arms, run_control_point, ControlPoint,
+                   jobs=jobs, cache_dir=cache_dir, resume=resume)
+    baseline = {p.controller: p.reward_rate for p in points
+                if p.factor == 0.0}
+    for point in points:
+        base = baseline[point.controller]
+        point.reward_retained = (point.reward_rate / base
+                                 if base > 0 else None)
+    return points
 
 
 def control_table(points: list[ControlPoint]) -> str:

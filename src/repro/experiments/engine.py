@@ -24,6 +24,12 @@ needs, without changing a single number:
 
 Every run outcome — computed, cached or failed — is reported as a
 structured :class:`~repro.experiments.progress.RunEvent`.
+
+The what-if studies (cap, chaos, control and tournament sweeps) share
+one smaller driver, :func:`sweep`: a grid of arms over one frozen
+config dataclass, cached per point under a key derived from all of the
+config's fields (:func:`point_key`) and fanned out by
+:func:`parallel_map`.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ from repro.experiments.runner import (RunFailure, RunResult, SetResult,
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["EngineConfig", "EngineError", "run_set", "run_sets",
-           "parallel_map", "cache_key", "cache_path", "canonical_json",
-           "code_version", "load_point", "store_point",
-           "CACHE_SCHEMA_VERSION"]
+           "parallel_map", "sweep", "SweepPoint", "point_key", "cache_key",
+           "cache_path", "canonical_json", "code_version", "load_point",
+           "store_point", "CACHE_SCHEMA_VERSION"]
 
 #: Bump when the cached payload layout (or run semantics) changes; old
 #: cache entries are then ignored rather than misread.  2: cache keys
@@ -192,25 +198,46 @@ def _store_cached(cache_dir: Path, config: ScenarioConfig, seed: int,
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_path(cache_dir, config, seed)
     tmp = path.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
+    tmp.write_text(json.dumps(payload, sort_keys=True, allow_nan=False))
     os.replace(tmp, path)
 
 
-def _point_path(cache_dir: str | Path, tag: str, extra: dict) -> Path:
-    blob = canonical_json({"code_version": code_version(), "tag": tag,
-                           "extra": extra})
-    digest = hashlib.sha256(blob.encode()).hexdigest()
-    return Path(cache_dir) / f"{tag}-{digest[:16]}.json"
+class SweepPoint:
+    """Base of the sweep point dataclasses: JSON through their fields.
 
-
-def load_point(cache_dir: str | Path, tag: str, extra: dict) -> dict | None:
-    """Load one generic cached datum (used by the sweep drivers).
-
-    ``tag`` names the problem instance (room/seed), ``extra`` the point
-    within it (cap, ψ, …); both are folded into the key together with
-    :func:`code_version`.
+    ``to_dict`` is :func:`dataclasses.asdict` and ``from_dict`` calls the
+    constructor on the same keys, so a new field is serialised, cached
+    and replayed without touching a converter.
     """
-    path = _point_path(cache_dir, tag, extra)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        return cls(**doc)
+
+
+def point_key(tag: str, config, arm: dict) -> str:
+    """Digest of one sweep point: the whole config dataclass plus the arm.
+
+    Every field of ``config`` reaches the key through
+    :func:`dataclasses.asdict`, so a new config field splits the cache
+    without a key list to keep in step.
+    """
+    payload = {"code_version": code_version(), "tag": tag,
+               "config": asdict(config), "arm": arm}
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def _point_path(cache_dir: str | Path, tag: str, config, arm: dict) -> Path:
+    return Path(cache_dir) / f"{tag}-{point_key(tag, config, arm)[:16]}.json"
+
+
+def load_point(cache_dir: str | Path, tag: str, config,
+               arm: dict) -> dict | None:
+    """The cached payload of one sweep point, or ``None`` on a miss."""
+    path = _point_path(cache_dir, tag, config, arm)
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
@@ -220,17 +247,54 @@ def load_point(cache_dir: str | Path, tag: str, extra: dict) -> dict | None:
     return payload
 
 
-def store_point(cache_dir: str | Path, tag: str, extra: dict,
-                data: dict) -> None:
-    """Persist one generic cached datum (counterpart of :func:`load_point`)."""
+def store_point(cache_dir: str | Path, tag: str, config, arm: dict,
+                point: dict | None) -> None:
+    """Persist one sweep point as strict JSON (``None`` is a valid point)."""
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = _point_path(directory, tag, extra)
-    payload = dict(data)
-    payload["schema"] = CACHE_SCHEMA_VERSION
+    path = _point_path(directory, tag, config, arm)
+    payload = {"schema": CACHE_SCHEMA_VERSION, "point": point}
     tmp = path.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
+    tmp.write_text(json.dumps(payload, sort_keys=True, allow_nan=False))
     os.replace(tmp, path)
+
+
+def _run_arm(run: Callable, config, arm: dict):
+    """``run(config, **arm)``; module-level so worker pools can pickle it."""
+    return run(config, **arm)
+
+
+def sweep(tag: str, config, arms: Sequence[dict], run: Callable,
+          point_cls: type[SweepPoint], *, jobs: int = 1,
+          cache_dir: str | Path | None = None,
+          resume: bool = False) -> list:
+    """Evaluate ``run(config, **arm)`` for every arm, cached and parallel.
+
+    ``config`` is a frozen dataclass and each arm a dict of keyword
+    arguments; together they key the point cache (:func:`point_key`).
+    With ``resume`` cached points are replayed, the rest fan out through
+    :func:`parallel_map` (``run`` must be picklable for ``jobs > 1``)
+    and, with a ``cache_dir``, are stored.  Points come back in arm
+    order; ``run`` may return ``None`` (an infeasible point), which is
+    cached and returned as ``None`` too.
+    """
+    points: list = [None] * len(arms)
+    pending: list[int] = []
+    for index, arm in enumerate(arms):
+        payload = load_point(cache_dir, tag, config, arm) \
+            if (cache_dir is not None and resume) else None
+        if payload is None:
+            pending.append(index)
+        elif payload["point"] is not None:
+            points[index] = point_cls.from_dict(payload["point"])
+    computed = parallel_map(partial(_run_arm, run, config),
+                            [arms[i] for i in pending], jobs=jobs)
+    for index, point in zip(pending, computed):
+        points[index] = point
+        if cache_dir is not None:
+            store_point(cache_dir, tag, config, arms[index],
+                        None if point is None else point.to_dict())
+    return points
 
 
 @dataclass(frozen=True)

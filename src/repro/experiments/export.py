@@ -36,8 +36,16 @@ def fig6_csv(results: dict[str, SetResult]) -> str:
     return buf.getvalue()
 
 
+def _cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
 def capacity_csv(points: list[CapSweepPoint]) -> str:
-    """Capacity-planning series: one row per power cap."""
+    """Capacity-planning series: one row per power cap.
+
+    Undefined values (no baseline, the last point's marginal) are empty
+    cells.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p_const_kw", "reward_three_stage", "reward_baseline",
@@ -46,8 +54,8 @@ def capacity_csv(points: list[CapSweepPoint]) -> str:
     for p in points:
         writer.writerow([
             f"{p.p_const:.6f}", f"{p.reward_three_stage:.6f}",
-            f"{p.reward_baseline:.6f}", f"{p.improvement_pct:.6f}",
-            f"{p.power_used_kw:.6f}", f"{p.marginal_reward_per_kw:.6f}",
+            _cell(p.reward_baseline), _cell(p.improvement_pct),
+            f"{p.power_used_kw:.6f}", _cell(p.marginal_reward_per_kw),
         ])
     return buf.getvalue()
 

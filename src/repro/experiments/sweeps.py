@@ -10,7 +10,7 @@ solvers unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.assignment import three_stage_assignment
 from repro.core.baseline import solve_baseline
 from repro.datacenter.builder import DataCenter
+from repro.experiments.engine import SweepPoint, sweep
 from repro.workload.tasktypes import Workload
 
 __all__ = ["CapSweepPoint", "sweep_power_cap", "RedlineSweepPoint",
@@ -26,42 +27,53 @@ __all__ = ["CapSweepPoint", "sweep_power_cap", "RedlineSweepPoint",
 
 
 @dataclass(frozen=True)
-class CapSweepPoint:
+class CapSweepPoint(SweepPoint):
     """One point of the reward-vs-power-cap curve.
 
     ``marginal_reward_per_kw`` is the forward difference to the next
-    point (NaN at the last point) — the operator's "what is one more
-    kilowatt worth" number.
+    point — the operator's "what is one more kilowatt worth" number.
+    Undefined values are ``None`` (JSON ``null``): the baseline reward
+    of a sweep run without it, and the last point's marginal.
     """
 
     p_const: float
     reward_three_stage: float
-    reward_baseline: float
+    reward_baseline: float | None
     power_used_kw: float
-    marginal_reward_per_kw: float = float("nan")
+    marginal_reward_per_kw: float | None = None
 
     @property
-    def improvement_pct(self) -> float:
-        if self.reward_baseline <= 0:
-            return float("nan")
+    def improvement_pct(self) -> float | None:
+        """Percent edge over the baseline; ``None`` when undefined."""
+        if self.reward_baseline is None or self.reward_baseline <= 0:
+            return None
         return 100.0 * (self.reward_three_stage - self.reward_baseline) \
             / self.reward_baseline
 
 
-def _cap_point(cap: float, *, datacenter: DataCenter, workload: Workload,
-               psi: float, include_baseline: bool) -> CapSweepPoint | None:
+@dataclass(frozen=True)
+class _CapSweepConfig:
+    """What a cap-sweep point depends on besides its room and cap."""
+
+    psi: float
+    include_baseline: bool
+
+
+def _cap_point(config: _CapSweepConfig, cap: float, *,
+               datacenter: DataCenter,
+               workload: Workload) -> CapSweepPoint | None:
     """Solve one cap (module-level so worker pools can pickle it)."""
     try:
-        ours = three_stage_assignment(datacenter, workload, float(cap),
-                                      psi=psi)
+        ours = three_stage_assignment(datacenter, workload, cap,
+                                      psi=config.psi)
     except RuntimeError:
         return None         # cap below idle power: nothing to operate
-    base_reward = float("nan")
-    if include_baseline:
-        base, _ = solve_baseline(datacenter, workload, float(cap))
+    base_reward = None
+    if config.include_baseline:
+        base, _ = solve_baseline(datacenter, workload, cap)
         base_reward = base.reward_rate
     return CapSweepPoint(
-        p_const=float(cap),
+        p_const=cap,
         reward_three_stage=ours.reward_rate,
         reward_baseline=base_reward,
         power_used_kw=ours.power(datacenter).total,
@@ -72,7 +84,7 @@ def sweep_power_cap(datacenter: DataCenter, workload: Workload,
                     caps_kw: np.ndarray, *, psi: float = 50.0,
                     include_baseline: bool = True, jobs: int = 1,
                     cache_dir: str | Path | None = None,
-                    resume: bool = False, cache_tag: str | None = None
+                    resume: bool = False, tag: str | None = None
                     ) -> list[CapSweepPoint]:
     """Solve both techniques across a grid of power caps.
 
@@ -80,66 +92,33 @@ def sweep_power_cap(datacenter: DataCenter, workload: Workload,
     operating point).  Points are returned in increasing cap order with
     forward-difference marginal rewards filled in.
 
-    ``jobs > 1`` fans the per-cap solves out over the experiment
-    engine's process pool (each cap is independent; results are
-    identical to the serial path).  With ``cache_dir`` and a
-    ``cache_tag`` naming the room (e.g. ``"sweep-set3-n25-seed4"``),
-    finished points are written to disk and — with ``resume=True`` —
-    replayed instead of re-solved.
+    The caps run through :func:`~repro.experiments.engine.sweep`:
+    ``jobs > 1`` fans them out over worker processes (each cap is
+    independent; results are identical to the serial path).  With
+    ``cache_dir`` and a ``tag`` naming the room (e.g.
+    ``"sweep-set3-n25-seed4"``), finished points are written to disk
+    and — with ``resume=True`` — replayed instead of re-solved.
     """
-    from repro.experiments.engine import (load_point, parallel_map,
-                                          store_point)
-
     caps = np.sort(np.asarray(caps_kw, dtype=float))
     if caps.size == 0:
         raise ValueError("need at least one cap")
-    use_cache = cache_dir is not None and cache_tag is not None
-
-    def point_key(cap: float) -> dict:
-        return {"cap": float(cap), "psi": float(psi),
-                "baseline": bool(include_baseline)}
-
-    solved: dict[float, CapSweepPoint | None] = {}
-    pending: list[float] = []
-    for cap in caps:
-        payload = load_point(cache_dir, cache_tag, point_key(cap)) \
-            if (use_cache and resume) else None
-        if payload is not None:
-            point = payload["point"]
-            solved[float(cap)] = None if point is None \
-                else CapSweepPoint(**point)
-        else:
-            pending.append(float(cap))
-
-    solver = partial(_cap_point, datacenter=datacenter, workload=workload,
-                     psi=psi, include_baseline=include_baseline)
-    for cap, point in zip(pending, parallel_map(solver, pending, jobs=jobs)):
-        solved[cap] = point
-        if use_cache:
-            store_point(cache_dir, cache_tag, point_key(cap),
-                        {"point": None if point is None else asdict(point)})
-
-    rows = [solved[float(cap)] for cap in caps
-            if solved[float(cap)] is not None]
+    config = _CapSweepConfig(psi=float(psi),
+                             include_baseline=bool(include_baseline))
+    solved = sweep(tag or "sweep", config,
+                   [{"cap": float(cap)} for cap in caps],
+                   partial(_cap_point, datacenter=datacenter,
+                           workload=workload),
+                   CapSweepPoint, jobs=jobs, resume=resume,
+                   cache_dir=cache_dir if tag is not None else None)
+    rows = [point for point in solved if point is not None]
     # forward-difference marginal value of provisioned power
     out: list[CapSweepPoint] = []
-    for idx, point in enumerate(rows):
-        if idx + 1 < len(rows):
-            nxt = rows[idx + 1]
-            dcap = nxt.p_const - point.p_const
-            marginal = (nxt.reward_three_stage
-                        - point.reward_three_stage) / dcap \
-                if dcap > 0 else float("nan")
-        else:
-            marginal = float("nan")
-        out.append(CapSweepPoint(
-            p_const=point.p_const,
-            reward_three_stage=point.reward_three_stage,
-            reward_baseline=point.reward_baseline,
-            power_used_kw=point.power_used_kw,
-            marginal_reward_per_kw=marginal,
-        ))
-    return out
+    for point, nxt in zip(rows, rows[1:]):
+        dcap = nxt.p_const - point.p_const
+        marginal = (nxt.reward_three_stage - point.reward_three_stage) \
+            / dcap if dcap > 0 else None
+        out.append(replace(point, marginal_reward_per_kw=marginal))
+    return out + rows[-1:]
 
 
 @dataclass(frozen=True)

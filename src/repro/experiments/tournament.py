@@ -17,20 +17,19 @@ reporting, per ``(simulation set, backend)``:
 Every point is a pure function of ``(TournamentConfig, set, backend)``
 — seeded backends are bit-deterministic and **no wall-clock fields are
 recorded** — so tournament JSON is byte-identical across ``--jobs``
-values (CI diffs it) and points ride the PR-1 engine's generic cache
-(:func:`~repro.experiments.engine.load_point` /
-:func:`~repro.experiments.engine.store_point`) for ``--resume``.
+values (CI diffs it) and points ride the engine's
+:func:`~repro.experiments.engine.sweep` and its point cache for
+``--resume``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.core.api import SolveOptions, SolveRequest, solve
 from repro.core.controller import idle_start_t_out
 from repro.experiments.config import paper_sets, scaled_down
-from repro.experiments.engine import load_point, parallel_map, store_point
+from repro.experiments.engine import SweepPoint, sweep
 from repro.experiments.generator import Scenario, generate_scenario
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
@@ -74,58 +73,25 @@ class TournamentConfig:
         if any(s not in (1, 2, 3) for s in self.sets):
             raise ValueError("sets are 1-based paper set indices (1-3)")
 
-    def cache_tag(self) -> str:
-        return f"tournament-n{self.n_nodes}-seed{self.seed}"
-
-    def cache_extra(self, set_index: int, backend: str) -> dict:
-        return {
-            "set": set_index,
-            "backend": backend,
-            "backend_seed": self.backend_seed,
-            "max_evals": self.max_evals,
-            "tau_s": self.tau_s,
-        }
-
 
 @dataclass
-class TournamentPoint:
+class TournamentPoint(SweepPoint):
     """One ``(set, backend)`` race result.
 
     ``gap_pct`` is filled in by :func:`sweep_tournament` relative to the
     same set's three-stage point (``None`` — JSON ``null`` — when
     three-stage is absent or earned nothing).  Deliberately contains
     **no wall-clock fields** so serialized points are byte-identical
-    across runs and ``--jobs``.
+    across runs and ``--jobs``.  ``set`` is the 1-based paper set index.
     """
 
-    set_index: int
+    set: int
     backend: str
     reward_rate: float
     evaluations: int
     violation_minutes: float
     p_const: float
     gap_pct: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "set": self.set_index,
-            "backend": self.backend,
-            "reward_rate": self.reward_rate,
-            "evaluations": self.evaluations,
-            "violation_minutes": self.violation_minutes,
-            "p_const": self.p_const,
-            "gap_pct": self.gap_pct,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TournamentPoint":
-        return cls(set_index=int(doc["set"]),
-                   backend=str(doc["backend"]),
-                   reward_rate=float(doc["reward_rate"]),
-                   evaluations=int(doc["evaluations"]),
-                   violation_minutes=float(doc["violation_minutes"]),
-                   p_const=float(doc["p_const"]),
-                   gap_pct=doc.get("gap_pct"))
 
 
 def _tournament_scenario(config: TournamentConfig,
@@ -135,10 +101,9 @@ def _tournament_scenario(config: TournamentConfig,
                              config.seed)
 
 
-def run_tournament_point(config: TournamentConfig,
-                         item: tuple[int, str]) -> TournamentPoint:
-    """Race one backend on one set's room; pure in ``(config, item)``."""
-    set_index, backend = item
+def run_tournament_point(config: TournamentConfig, set_index: int,
+                         backend: str) -> TournamentPoint:
+    """Race one backend on one set's room; pure in its arguments."""
     scenario = _tournament_scenario(config, set_index)
     dc = scenario.datacenter
     with obs_span("tournament", set=set_index, backend=backend,
@@ -158,7 +123,7 @@ def run_tournament_point(config: TournamentConfig,
         violation = transient.violation_minutes(dc.redline_c)
     obs_metrics.counter("tournament.points").inc()
     return TournamentPoint(
-        set_index=set_index,
+        set=set_index,
         backend=backend,
         reward_rate=float(result.reward_rate),
         evaluations=int(getattr(result, "evaluations", 0)),
@@ -171,40 +136,23 @@ def sweep_tournament(config: TournamentConfig, *, jobs: int = 1,
                      resume: bool = False) -> list[TournamentPoint]:
     """Race every configured backend on every configured set.
 
-    Points fan out over :func:`~repro.experiments.engine.parallel_map`
-    (bit-identical across ``--jobs``) and land in the generic point
-    cache for ``--resume``.  Returned points are ordered by (set,
-    configured backend order) with ``gap_pct`` filled in relative to
-    each set's three-stage point.
+    Points run through :func:`~repro.experiments.engine.sweep`
+    (bit-identical across ``--jobs``, cached for ``--resume``).
+    Returned points are ordered by (set, configured backend order) with
+    ``gap_pct`` filled in relative to each set's three-stage point.
     """
-    items = [(s, b) for s in config.sets for b in config.backends]
-    points: dict[tuple[int, str], TournamentPoint] = {}
-    pending: list[tuple[int, str]] = []
-    for item in items:
-        payload = None
-        if cache_dir is not None and resume:
-            payload = load_point(cache_dir, config.cache_tag(),
-                                 config.cache_extra(*item))
-        if payload is not None:
-            points[item] = TournamentPoint.from_dict(payload["point"])
-        else:
-            pending.append(item)
-    computed = parallel_map(partial(run_tournament_point, config), pending,
-                            jobs=jobs)
-    for item, point in zip(pending, computed):
-        points[item] = point
-        if cache_dir is not None:
-            store_point(cache_dir, config.cache_tag(),
-                        config.cache_extra(*item),
-                        {"point": point.to_dict()})
-    for s in config.sets:
-        anchor = points.get((s, "three_stage"))
-        reference = anchor.reward_rate if anchor is not None else 0.0
-        for b in config.backends:
-            point = points[(s, b)]
-            point.gap_pct = (100.0 * (1.0 - point.reward_rate / reference)
-                             if reference > 0 else None)
-    return [points[item] for item in items]
+    arms = [{"set_index": s, "backend": b}
+            for s in config.sets for b in config.backends]
+    points = sweep("tournament", config, arms, run_tournament_point,
+                   TournamentPoint, jobs=jobs, cache_dir=cache_dir,
+                   resume=resume)
+    reference = {p.set: p.reward_rate for p in points
+                 if p.backend == "three_stage"}
+    for point in points:
+        anchor = reference.get(point.set, 0.0)
+        point.gap_pct = (100.0 * (1.0 - point.reward_rate / anchor)
+                         if anchor > 0 else None)
+    return points
 
 
 def tournament_table(points: list[TournamentPoint]) -> str:
@@ -215,6 +163,6 @@ def tournament_table(points: list[TournamentPoint]) -> str:
         gap = ("    ---" if p.gap_pct is None
                else f"{p.gap_pct:6.1f}%")
         lines.append(
-            f"{p.set_index:>4d}{p.backend:>13}{p.reward_rate:>10.1f}"
+            f"{p.set:>4d}{p.backend:>13}{p.reward_rate:>10.1f}"
             f"{gap}{p.violation_minutes:>9.2f}{p.evaluations:>7d}")
     return "\n".join(lines)

@@ -17,14 +17,13 @@ Usage::
 Rules come in two tiers sharing one registry of stable ``RL0xx`` codes:
 per-file :class:`~repro.lint.base.RuleVisitor` subclasses and
 whole-program :class:`~repro.lint.base.ProjectRule` dataflow analyses
-(unit-dimension flow, determinism taint tracking, cache-key
-completeness) driven by the interpreter in :mod:`repro.lint.dataflow`.
+(unit-dimension flow, determinism taint tracking) driven by the interpreter in :mod:`repro.lint.dataflow`.
 Findings can be suppressed per logical line
 (``# repro-lint: disable=RL001``) or grandfathered in a committed
 baseline file (``lint-baseline.json``) with a written reason.
 """
 
-from repro.lint.base import (CacheContract, FileContext, LintConfig,
+from repro.lint.base import (FileContext, LintConfig,
                              ProjectRule, RuleVisitor, all_rules,
                              get_rule, load_span_taxonomy, register,
                              rule_catalog)
@@ -38,7 +37,6 @@ from repro.lint.suppress import Suppressions, parse_suppressions
 
 __all__ = [
     "Baseline",
-    "CacheContract",
     "FileContext",
     "Finding",
     "LintConfig",

@@ -17,9 +17,7 @@ from typing import ClassVar, Iterator
 from repro.lint.findings import Finding
 
 __all__ = [
-    "DEFAULT_CACHE_CONTRACTS",
     "DEFAULT_SPAN_TAXONOMY",
-    "CacheContract",
     "FileContext",
     "LintConfig",
     "ProjectRule",
@@ -51,36 +49,6 @@ PHYSICAL_CONSTANTS: dict[float, str] = {
 
 
 @dataclass(frozen=True)
-class CacheContract:
-    """One cache-key completeness obligation (RL050).
-
-    Every field of ``cls`` must reach one of ``key_fns`` (directly as
-    an attribute of a parameter typed as ``cls``, via a blanket
-    ``dataclasses.asdict``/``astuple``, or as an attribute access in a
-    function that calls a key function) or carry a
-    ``# repro-lint: cache-exempt(reason)`` pragma on its definition
-    line.
-    """
-
-    cls: str                    # fully-qualified dataclass name
-    key_fns: tuple[str, ...]    # fully-qualified digest/key functions
-
-
-#: The repo's cache/digest contracts: the experiment cache key over
-#: ``ScenarioConfig`` (the PR-3 bug class) and the warm-start digests
-#: over ``SolveOptions``/``SolveRequest`` (the CACHE_SCHEMA_VERSION
-#: bump class from PRs 5-8).
-DEFAULT_CACHE_CONTRACTS: tuple[CacheContract, ...] = (
-    CacheContract(cls="repro.experiments.config.ScenarioConfig",
-                  key_fns=("repro.experiments.engine.cache_key",)),
-    CacheContract(cls="repro.core.api.SolveOptions",
-                  key_fns=("repro.core.warmstart.compute_digests",)),
-    CacheContract(cls="repro.core.api.SolveRequest",
-                  key_fns=("repro.core.warmstart.compute_digests",)),
-)
-
-
-@dataclass(frozen=True)
 class LintConfig:
     """Knobs shared by every rule.
 
@@ -96,9 +64,6 @@ class LintConfig:
         implementation itself).
     physical_constants:
         ``float value -> canonical symbol`` map for RL010.
-    cache_contracts:
-        Dataclasses whose fields must be covered by their cache-key /
-        digest functions (RL050).
     taint_source_allow:
         POSIX path fragments whose *sources* the taint analysis
         ignores — the observability layer reads the wall clock by
@@ -110,7 +75,6 @@ class LintConfig:
     span_rule_skip: tuple[str, ...] = ("repro/obs/",)
     physical_constants: dict[float, str] = field(
         default_factory=lambda: dict(PHYSICAL_CONSTANTS))
-    cache_contracts: tuple[CacheContract, ...] = DEFAULT_CACHE_CONTRACTS
     taint_source_allow: tuple[str, ...] = ("repro/obs/",)
 
 
@@ -218,7 +182,7 @@ class RuleVisitor(ast.NodeVisitor):
 
 
 class ProjectRule:
-    """Base class for one whole-program dataflow rule (RL03x-RL05x).
+    """Base class for one whole-program dataflow rule (RL03x-RL04x).
 
     Where :class:`RuleVisitor` sees one file, a project rule sees the
     :class:`~repro.lint.project.Project` — every linted module parsed

@@ -32,7 +32,7 @@ class Finding:
         The stripped source line — the key baselines match on, so
         grandfathered findings survive unrelated line-number drift.
     trace:
-        For dataflow findings (RL03x/RL04x/RL05x): the full
+        For dataflow findings (RL03x/RL04x): the full
         source → propagation → sink chain, one ``path:line: event``
         step per element.  Empty for per-statement AST findings.
     """

@@ -1,7 +1,7 @@
 """Project model: module graph and symbol table for whole-program rules.
 
 The per-file rules (:mod:`repro.lint.rules`) see one ``ast.Module`` at a
-time; the dataflow analyses (RL03x/RL04x/RL05x) need to see *across*
+time; the dataflow analyses (RL03x/RL04x) need to see *across*
 files — a taint source in ``repro.serve.service`` can reach a cache-key
 sink in ``repro.experiments.engine`` through three call hops.  This
 module parses every linted file once into a :class:`Project`:
@@ -9,9 +9,7 @@ module parses every linted file once into a :class:`Project`:
 * dotted module names derived from the package layout (``src/repro/
   units.py`` → ``repro.units``; a loose file is its own stem),
 * per-module import tables (``import x as y`` / ``from m import n``),
-* a symbol table of every module-level function, method and class
-  (dataclass fields included, with their source line — RL050 anchors
-  findings there),
+* a symbol table of every module-level function, method and class,
 * :meth:`Project.resolve`, the conservative name resolver every
   analysis shares: a dotted call target is resolved through the import
   tables to a fully-qualified name, falling back to the local module
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
 
-__all__ = ["FieldInfo", "ClassInfo", "FunctionInfo", "ModuleInfo",
+__all__ = ["ClassInfo", "FunctionInfo", "ModuleInfo",
            "Project", "build_project", "dotted_name", "imported_modules",
            "imported_names", "module_name_for"]
 
@@ -100,23 +98,13 @@ def module_name_for(path: Path) -> str:
     return ".".join(reversed(parts))
 
 
-@dataclass(frozen=True)
-class FieldInfo:
-    """One dataclass field (an annotated class-body assignment)."""
-
-    name: str
-    lineno: int
-    annotation: str | None
-
-
 @dataclass
 class ClassInfo:
-    """A class definition and its dataclass-style fields."""
+    """A class definition."""
 
     qualname: str
     module: "ModuleInfo"
     node: ast.ClassDef
-    fields: list[FieldInfo] = field(default_factory=list)
 
 
 @dataclass
@@ -189,12 +177,7 @@ def _collect_class(module: ModuleInfo, node: ast.ClassDef) -> None:
     qualname = f"{module.name}.{node.name}"
     info = ClassInfo(qualname=qualname, module=module, node=node)
     for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
-                                                          ast.Name):
-            info.fields.append(FieldInfo(
-                name=stmt.target.id, lineno=stmt.lineno,
-                annotation=_annotation_text(stmt.annotation)))
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _collect_function(module, stmt, node.name)
     module.classes[qualname] = info
 

@@ -8,11 +8,9 @@ Codes are grouped by category and never reused:
 * ``RL020``-``RL029`` — hygiene (per-file AST)
 * ``RL030``-``RL039`` — unit-dimension dataflow
 * ``RL040``-``RL049`` — determinism taint dataflow
-* ``RL050``-``RL059`` — cache-key completeness
 """
 
-from repro.lint.rules import (cachekey, determinism, hygiene, physics,
-                              taint, unitflow)
+from repro.lint.rules import (determinism, hygiene, physics, taint,
+                              unitflow)
 
-__all__ = ["cachekey", "determinism", "hygiene", "physics", "taint",
-           "unitflow"]
+__all__ = ["determinism", "hygiene", "physics", "taint", "unitflow"]

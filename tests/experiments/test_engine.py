@@ -1,15 +1,16 @@
 """Tests for repro.experiments.engine — workers, caching, fault tolerance."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.experiments import engine as engine_mod
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.engine import (EngineConfig, EngineError, cache_key,
-                                      cache_path, parallel_map, run_set,
-                                      run_sets)
+from repro.experiments.engine import (EngineConfig, EngineError, SweepPoint,
+                                      cache_key, cache_path, parallel_map,
+                                      run_set, run_sets, sweep)
 from repro.experiments.progress import ProgressReporter
 from repro.experiments.runner import RunResult
 from repro.optimize.linprog import InfeasibleError
@@ -267,6 +268,55 @@ class TestParallelMap:
 
     def test_empty(self):
         assert parallel_map(_double, [], jobs=4) == []
+
+
+@dataclass(frozen=True)
+class _SweepConfig:
+    scale: int = 3
+
+
+@dataclass
+class _SweepPoint(SweepPoint):
+    x: int
+    scaled: int
+    note: str | None = None
+
+
+def _sweep_run(config: _SweepConfig, x: int) -> _SweepPoint | None:
+    """``None`` for negative ``x`` (an infeasible point)."""
+    return None if x < 0 else _SweepPoint(x=x, scaled=config.scale * x)
+
+
+def _no_run(config, x):
+    raise AssertionError("a resumed sweep recomputed a cached point")
+
+
+class TestSweep:
+    ARMS = [{"x": 2}, {"x": -1}, {"x": 0}, {"x": 5}]
+
+    def test_points_in_arm_order(self):
+        points = sweep("t", _SweepConfig(), self.ARMS, _sweep_run,
+                       _SweepPoint)
+        assert [p and p.scaled for p in points] == [6, None, 0, 15]
+
+    def test_resume_replays_every_point_including_none(self, tmp_path):
+        first = sweep("t", _SweepConfig(), self.ARMS, _sweep_run,
+                      _SweepPoint, cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("t-*.json"))) == len(self.ARMS)
+        again = sweep("t", _SweepConfig(), self.ARMS, _no_run, _SweepPoint,
+                      cache_dir=tmp_path, resume=True)
+        assert again == first
+
+    def test_point_round_trips_through_dict(self):
+        point = _SweepPoint(x=1, scaled=3, note=None)
+        assert point.to_dict() == {"x": 1, "scaled": 3, "note": None}
+        assert _SweepPoint.from_dict(point.to_dict()) == point
+
+    def test_cache_files_are_strict_json(self, tmp_path):
+        bad = _SweepPoint(x=1, scaled=float("nan"))
+        with pytest.raises(ValueError):
+            engine_mod.store_point(tmp_path, "t", _SweepConfig(), {"x": 1},
+                                   bad.to_dict())
 
 
 class TestCanonicalJson:

@@ -58,7 +58,7 @@ class TestCapacityCsv:
         assert float(rows[0]["p_const_kw"]) == 10.0
         assert float(rows[0]["improvement_pct"]) == pytest.approx(
             100.0 * 10.0 / 90.0)
-        assert rows[1]["marginal_reward_per_kw"] == "nan"
+        assert rows[1]["marginal_reward_per_kw"] == ""
 
 
 class TestWrite:

@@ -1,5 +1,7 @@
 """Tests for repro.experiments.sweeps — capacity/redline sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,14 @@ class TestPowerCapSweep:
     def test_three_stage_at_least_baseline_shape(self, cap_sweep):
         """On average across the sweep the technique leads (individual
         ties are possible at extreme caps)."""
-        edges = [p.improvement_pct for p in cap_sweep]
-        assert np.nanmean(edges) > 0
+        edges = [p.improvement_pct for p in cap_sweep
+                 if p.improvement_pct is not None]
+        assert np.mean(edges) > 0
 
     def test_marginal_values_non_negative(self, cap_sweep):
         for p in cap_sweep[:-1]:
             assert p.marginal_reward_per_kw >= -1e-6
-        assert np.isnan(cap_sweep[-1].marginal_reward_per_kw)
+        assert cap_sweep[-1].marginal_reward_per_kw is None
 
     def test_infeasible_caps_skipped(self, scenario):
         caps = np.asarray([0.5, scenario.p_const])
@@ -49,7 +52,27 @@ class TestPowerCapSweep:
         points = sweep_power_cap(scenario.datacenter, scenario.workload,
                                  np.asarray([scenario.p_const]),
                                  include_baseline=False)
-        assert np.isnan(points[0].reward_baseline)
+        assert points[0].reward_baseline is None
+        assert points[0].improvement_pct is None
+
+    def test_cache_files_are_strict_json(self, scenario, tmp_path):
+        """Undefined values are cached as null, never NaN, and a resumed
+        sweep (an infeasible cap included) replays them unchanged."""
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        caps = np.asarray([0.5, scenario.p_const])
+        kwargs = dict(include_baseline=False, cache_dir=tmp_path,
+                      tag="strict")
+        first = sweep_power_cap(scenario.datacenter, scenario.workload,
+                                caps, **kwargs)
+        files = sorted(tmp_path.glob("*.json"))
+        assert len(files) == len(caps)
+        for path in files:
+            json.loads(path.read_text(), parse_constant=reject)
+        resumed = sweep_power_cap(scenario.datacenter, scenario.workload,
+                                  caps, resume=True, **kwargs)
+        assert resumed == first
 
 
 class TestRedlineSweep:

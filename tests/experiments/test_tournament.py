@@ -7,8 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.config import PAPER_SET_1, scaled_down
-from repro.experiments.engine import cache_key
 from repro.experiments.tournament import (TournamentConfig,
                                           TournamentPoint,
                                           run_tournament_point,
@@ -29,7 +27,7 @@ def points():
 
 class TestSweep:
     def test_point_order_follows_config(self, points):
-        assert [(p.set_index, p.backend) for p in points] == [
+        assert [(p.set, p.backend) for p in points] == [
             (1, "three_stage"), (1, "annealing")]
 
     def test_three_stage_anchor_has_zero_gap(self, points):
@@ -72,7 +70,7 @@ class TestSweep:
             assert again.to_dict() == doc
 
     def test_single_point_matches_sweep(self, points):
-        point = run_tournament_point(SMALL, (1, "annealing"))
+        point = run_tournament_point(SMALL, 1, "annealing")
         sweep_meta = points[1]
         assert point.reward_rate == pytest.approx(sweep_meta.reward_rate)
         assert point.evaluations == sweep_meta.evaluations
@@ -91,13 +89,6 @@ class TestCache:
                                    resume=True)
         assert [p.to_dict() for p in resumed] == \
             [p.to_dict() for p in points]
-
-    def test_cache_extra_splits_on_budget_knobs(self):
-        base = SMALL.cache_extra(1, "annealing")
-        other = replace(SMALL, max_evals=61).cache_extra(1, "annealing")
-        assert base != other
-        seeded = replace(SMALL, backend_seed=1).cache_extra(1, "annealing")
-        assert base != seeded
 
 
 class TestConfigValidation:
@@ -122,21 +113,8 @@ class TestTable:
         assert "gap" in table
 
     def test_undefined_gap_renders_as_dashes(self):
-        point = TournamentPoint(set_index=1, backend="annealing",
+        point = TournamentPoint(set=1, backend="annealing",
                                 reward_rate=1.0, evaluations=10,
                                 violation_minutes=0.0, p_const=5.0)
         assert "---" in tournament_table([point])
 
-
-class TestEngineCacheSplit:
-    """Backend knobs must split the run cache (CACHE_SCHEMA_VERSION 4)."""
-
-    def test_backend_knobs_split_cache_key(self):
-        base = scaled_down(PAPER_SET_1, 6)
-        keys = {
-            cache_key(base, SEED),
-            cache_key(replace(base, backend="annealing"), SEED),
-            cache_key(replace(base, backend_seed=1), SEED),
-            cache_key(replace(base, max_evals=123), SEED),
-        }
-        assert len(keys) == 4

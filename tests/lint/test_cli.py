@@ -29,7 +29,6 @@ class TestExitCodes:
         "rl001_bad.py", "rl002_bad.py", "rl003_bad.py", "rl004_bad.py",
         "rl010_bad.py", "rl011_bad.py", "rl020_bad.py", "rl021_bad.py",
         "rl022_bad.py", "rl030_bad.py", "rl031_bad.py", "rl040_bad.py",
-        "rl050_bad.py",
     ])
     def test_every_bad_fixture_fails(self, capsys, name):
         code, out, _ = run(capsys, [f"{FIXDIR}/{name}", "--no-baseline"])

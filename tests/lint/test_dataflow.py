@@ -1,6 +1,5 @@
 """Project-level dataflow analyses: interprocedural traces, the PR-3
-regression shape, cache-key completeness acceptance, and the engine's
-changed-files restriction."""
+regression shape, and the engine's changed-files restriction."""
 
 import ast
 import textwrap
@@ -92,133 +91,6 @@ class TestPr3Regression:
             assert "set-order" in finding.message
             assert any(":17:" in step and "set constructed" in step
                        for step in finding.trace)
-
-
-class TestCacheKeyAcceptance:
-    """RL050 end-to-end against the real contract wiring: a field
-    dropped from the key function is caught; full coverage is clean."""
-
-    def _tree(self, tmp_path, engine_body):
-        pkg = tmp_path / "repro" / "experiments"
-        pkg.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "config.py").write_text(textwrap.dedent("""\
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class ScenarioConfig:
-                n_nodes: int
-                p_const_kw: float
-                seed: int
-            """))
-        (pkg / "engine.py").write_text(textwrap.dedent(engine_body))
-        return [pkg / "config.py", pkg / "engine.py"]
-
-    def test_deleted_field_is_caught(self, tmp_path):
-        paths = self._tree(tmp_path, """\
-            import hashlib
-
-            from repro.experiments.config import ScenarioConfig
-
-
-            def cache_key(config: ScenarioConfig) -> str:
-                text = f"{config.n_nodes}|{config.p_const_kw}"
-                return hashlib.sha256(text.encode()).hexdigest()
-            """)
-        report = _lint(paths, ["RL050"])
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert "'seed'" in finding.message
-        assert finding.path.endswith("config.py")
-        assert finding.line == 8          # the seed field's line
-
-    def test_full_enumeration_is_clean(self, tmp_path):
-        paths = self._tree(tmp_path, """\
-            import hashlib
-
-            from repro.experiments.config import ScenarioConfig
-
-
-            def cache_key(config: ScenarioConfig) -> str:
-                text = f"{config.n_nodes}|{config.p_const_kw}|{config.seed}"
-                return hashlib.sha256(text.encode()).hexdigest()
-            """)
-        assert _lint(paths, ["RL050"]).findings == []
-
-    def test_blanket_asdict_is_clean(self, tmp_path):
-        paths = self._tree(tmp_path, """\
-            import hashlib
-            from dataclasses import asdict
-
-            from repro.experiments.config import ScenarioConfig
-
-
-            def cache_key(config: ScenarioConfig) -> str:
-                return hashlib.sha256(
-                    repr(asdict(config)).encode()).hexdigest()
-            """)
-        assert _lint(paths, ["RL050"]).findings == []
-
-    def test_missing_key_function_reports_broken_contract(self,
-                                                          tmp_path):
-        paths = self._tree(tmp_path, """\
-            # cache_key was deleted; the contract must complain loudly
-            """)
-        report = _lint(paths, ["RL050"])
-        assert len(report.findings) == 1
-        assert "contract" in report.findings[0].message
-        assert report.findings[0].path.endswith("config.py")
-
-    def test_exempt_pragma_needs_a_reason(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(textwrap.dedent("""\
-            import hashlib
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class Knobs:  # repro-lint: cache-class(key_of)
-                a: int
-                b: int  # repro-lint: cache-exempt()
-
-
-            def key_of(knobs: Knobs) -> str:
-                return hashlib.sha256(str(knobs.a).encode()).hexdigest()
-            """))
-        report = _lint([mod], ["RL050"])
-        assert len(report.findings) == 1
-        assert "reason" in report.findings[0].message
-
-    def test_stale_exempt_pragma_on_covered_field_is_flagged(self,
-                                                             tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(textwrap.dedent("""\
-            import hashlib
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class Knobs:  # repro-lint: cache-class(key_of)
-                a: int  # repro-lint: cache-exempt(not needed, honest)
-
-
-            def key_of(knobs: Knobs) -> str:
-                return hashlib.sha256(str(knobs.a).encode()).hexdigest()
-            """))
-        report = _lint([mod], ["RL050"])
-        assert len(report.findings) == 1
-        assert "stale" in report.findings[0].message
-
-    def test_real_contracts_over_src_are_clean(self):
-        root = Path(__file__).parents[2] / "src" / "repro"
-        paths = [root / "experiments" / "config.py",
-                 root / "experiments" / "engine.py",
-                 root / "core" / "api.py",
-                 root / "core" / "warmstart.py"]
-        report = _lint(paths, ["RL050"])
-        assert report.findings == []
 
 
 class TestProjectAndCallGraph:

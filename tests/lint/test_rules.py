@@ -24,7 +24,6 @@ EXPECTED = {
     "RL030": [9, 10, 12],
     "RL031": [5, 6],
     "RL040": [17, 22, 22],      # line 22 reaches two distinct sinks
-    "RL050": [11],
 }
 
 
