@@ -15,6 +15,10 @@ Two measurements, written to ``BENCH_sparse.json`` (repo root):
   replays verbatim and the replan is dominated by stages 2-3.  CI gates
   ``replan.warm_total_s < 1`` (the ROADMAP's sub-second target; it
   holds at full scale, so the reduced CI room clears it with margin).
+  ``replan.cold_stage1_peak_mb`` is the tracemalloc peak of a second,
+  untimed cold zonal Stage 1 on the same room (tracing slows Python
+  allocation, so it never overlaps ``cold_stage1_s``); CI gates it at
+  100 MB on the reduced room, where dense cut rows peaked at ~212 MB.
 
 The power cap is computed directly from
 :func:`~repro.datacenter.power.total_power` at the fixed outlets —
@@ -27,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +116,14 @@ def _bench_replan(n_nodes: int, n_crac: int, seed: int) -> dict:
                                  t_crac_out=t_fix, max_sweeps=2, warm=state)
     warm_stage1_s = time.perf_counter() - t0
     assert warm is cold                       # verbatim replay
+    tracemalloc.start()
+    try:
+        traced, _ = solve_stage1_zonal(dc, workload, p_const=p_const,
+                                       t_crac_out=t_fix, max_sweeps=2)
+        cold_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert traced.objective == cold.objective
     t0 = time.perf_counter()
     stage2 = convert_power_to_pstates(dc, warm.core_power_kw,
                                       warm.node_power_kw)
@@ -126,6 +139,7 @@ def _bench_replan(n_nodes: int, n_crac: int, seed: int) -> dict:
         "p_const_kw": p_const,
         "thermal_build_s": thermal_build_s,
         "cold_stage1_s": cold_s,
+        "cold_stage1_peak_mb": cold_peak_mb,
         "cold_objective": cold.objective,
         "sweeps": cold.sweeps,
         "repair_scale": cold.repair_scale,
@@ -164,7 +178,8 @@ def bench_sparse(benchmark, capsys, scale):
         print(f"  thermal build {replan['thermal_build_s']:7.2f} s   "
               f"cold stage1 {replan['cold_stage1_s']:7.2f} s "
               f"(sweeps={replan['sweeps']}, "
-              f"repair={replan['repair_scale']:.4f})")
+              f"repair={replan['repair_scale']:.4f}, "
+              f"peak {replan['cold_stage1_peak_mb']:.1f} MB)")
         print(f"  warm replan   stage1 {replan['warm_stage1_s'] * 1e3:6.1f}"
               f" ms + stage2 {replan['stage2_s'] * 1e3:6.1f} ms + stage3 "
               f"{replan['stage3_s'] * 1e3:6.1f} ms = "
@@ -177,3 +192,6 @@ def bench_sparse(benchmark, capsys, scale):
         "sparse model build regressed below the 5x gate vs dense at 10x"
     assert replan["warm_total_s"] < 1.0, \
         "warm replan regressed above the sub-second target"
+    if not scale.is_paper:
+        assert replan["cold_stage1_peak_mb"] <= 100.0, \
+            "cold zonal Stage 1 heap peak above 100 MB at 3000 nodes"

@@ -319,7 +319,7 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
         state.blocks = _build_blocks(datacenter, state.segments)
     blocks = state.blocks
     if state.crac_gain is None:
-        state.crac_gain = model.gain_rows(np.arange(nc))
+        state.crac_gain = model.gain_rows(np.arange(nc)).toarray()
     crac_gain = state.crac_gain                  # (n_crac, n_nodes), exact
 
     # ---- temperature-dependent affine pieces (exact, monolithic) ----
@@ -350,8 +350,9 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
     # exact monolithic gain rows (cheap transpose solves on the sparse
     # backend) are added to every zone LP from then on.  On truly zonal
     # rooms the cross-zone node gain is zero and this set stays empty.
+    # The rows are zone-local, so they stay CSR throughout.
     active_nodes = np.empty(0, dtype=int)
-    active_gain = np.empty((0, n_nodes))
+    active_gain = sp.csr_matrix((0, n_nodes))
     active_const = np.empty(0)
 
     sweeps = 0
@@ -396,7 +397,7 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
             # Generated cross-zone redline rows (exact affine, others
             # frozen at the current iterate).
             if active_nodes.size:
-                g_act = active_gain[:, nodes]
+                g_act = active_gain[:, nodes].toarray()
                 rhs_a = (redline[nc + active_nodes] - active_const
                          - active_gain @ base
                          - (active_gain @ core - g_act @ core[nodes]))
@@ -446,8 +447,9 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
         fresh = np.setdiff1d(fresh, active_nodes)
         if fresh.size:
             active_nodes = np.concatenate([active_nodes, fresh])
-            active_gain = np.vstack([active_gain,
-                                     model.gain_rows(nc + fresh)])
+            active_gain = sp.vstack([active_gain,
+                                     model.gain_rows(nc + fresh)],
+                                    format="csr")
             active_const = np.concatenate([
                 active_const, model.inlet_base[nc + fresh] @ t])
             continue    # re-sweep with the new rows before convergence test
@@ -470,9 +472,11 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
         (np.ones(n_vars), (node_of_var, np.arange(n_vars))),
         shape=(n_nodes, n_vars))
 
-    def sparse_rows(gain: np.ndarray) -> sp.csr_matrix:
-        gain = np.where(np.abs(gain) > 1e-15, gain, 0.0)
-        return sp.csr_matrix(gain) @ expand
+    def sparse_rows(gain) -> sp.csr_matrix:
+        rows = sp.csr_matrix(gain, copy=True)
+        rows.data = np.where(np.abs(rows.data) > 1e-15, rows.data, 0.0)
+        rows.eliminate_zeros()
+        return rows @ expand
 
     master = LinearProgram(name="stage1_zonal_master", maximize=True)
     master.add_variables(n_vars, lb=0.0, ub=caps, objective=slopes)
@@ -500,8 +504,6 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
             sparse_rows(gain_f),
             redline[nc + fresh] - const_f - gain_f @ base)
         active_nodes = np.concatenate([active_nodes, fresh])
-        active_gain = np.vstack([active_gain, gain_f])
-        active_const = np.concatenate([active_const, const_f])
     obs_metrics.counter("stage1.zonal_cuts").inc(cuts)
 
     # ---- monolithic verify and conservative repair ----

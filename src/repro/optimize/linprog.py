@@ -10,8 +10,15 @@ The wrapper exists so that
 * every LP in the code base states its intent (maximize vs minimize)
   explicitly,
 * infeasibility is reported with the model name attached, and
-* constraint matrices can be assembled incrementally row-by-row without
-  each call site repeating the scipy boilerplate.
+* constraint matrices can be assembled incrementally, one dict row or
+  one dense/sparse row block at a time, without each call site
+  repeating the scipy boilerplate.
+
+Constraint data is held as numpy ``(row, col, val)`` triplet blocks,
+one list per sense, and concatenated once per :meth:`LinearProgram.solve`
+or :meth:`LinearProgram.fingerprint`; no triplet is ever a Python
+scalar, so a master LP with hundreds of thousands of nonzeros costs
+24 bytes per nonzero rather than a Python object per entry.
 """
 
 from __future__ import annotations
@@ -78,6 +85,44 @@ class LPWarmStart:
     solution: LPSolution
 
 
+class _Rows:
+    """The ``<=`` (or ``==``) rows of a program as numpy triplet blocks.
+
+    Each block holds its own ``(row, col, val)`` arrays and right-hand
+    sides; :meth:`arrays` concatenates them once and keeps the result
+    as the single block, so repeated solves of a growing program (the
+    zonal master LP's cut rounds) re-concatenate only what was added.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.rhs: list[np.ndarray] = []
+        self.n_rows = 0
+        self.nnz = 0
+
+    def append(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               rhs: np.ndarray) -> None:
+        """Add a block whose ``rows`` count from 0 at its first row."""
+        self.blocks.append((np.asarray(rows, dtype=np.int64) + self.n_rows,
+                            np.asarray(cols, dtype=np.int64),
+                            np.asarray(vals, dtype=float)))
+        self.rhs.append(rhs)
+        self.n_rows += rhs.size
+        self.nnz += len(vals)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+        """``(rows, cols, vals, rhs)`` of every block, concatenated."""
+        if not self.blocks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0), np.empty(0)
+        if len(self.blocks) > 1:
+            self.blocks = [tuple(np.concatenate(part)
+                                 for part in zip(*self.blocks))]
+            self.rhs = [np.concatenate(self.rhs)]
+        return (*self.blocks[0], self.rhs[0])
+
+
 @dataclass
 class LinearProgram:
     """Incrementally assembled linear program.
@@ -101,15 +146,8 @@ class LinearProgram:
     _obj: list[float] = field(default_factory=list, init=False)
     _lb: list[float] = field(default_factory=list, init=False)
     _ub: list[float] = field(default_factory=list, init=False)
-    # COO triplets for A_ub / A_eq
-    _ub_rows: list[int] = field(default_factory=list, init=False)
-    _ub_cols: list[int] = field(default_factory=list, init=False)
-    _ub_vals: list[float] = field(default_factory=list, init=False)
-    _b_ub: list[float] = field(default_factory=list, init=False)
-    _eq_rows: list[int] = field(default_factory=list, init=False)
-    _eq_cols: list[int] = field(default_factory=list, init=False)
-    _eq_vals: list[float] = field(default_factory=list, init=False)
-    _b_eq: list[float] = field(default_factory=list, init=False)
+    _le: _Rows = field(default_factory=_Rows, init=False)
+    _eq: _Rows = field(default_factory=_Rows, init=False)
 
     # ------------------------------------------------------------------
     @property
@@ -118,7 +156,12 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._b_ub) + len(self._b_eq)
+        return self._le.n_rows + self._eq.n_rows
+
+    @property
+    def nnz(self) -> int:
+        """Stored constraint triplets (duplicates are summed at solve)."""
+        return self._le.nnz + self._eq.nnz
 
     def add_variables(self, n: int, lb: float | Sequence[float] = 0.0,
                       ub: float | Sequence[float] = np.inf,
@@ -147,22 +190,26 @@ class LinearProgram:
         self._lb[index] = float(lb)
         self._ub[index] = float(ub)
 
-    def _check_coeffs(self, coeffs: dict[int, float]) -> None:
+    def _add_dict_row(self, target: _Rows, coeffs: dict[int, float],
+                      rhs: float) -> None:
+        # plain-Python checks: a dict row is typically a few entries, for
+        # which numpy reductions cost more than the row itself
         for idx in coeffs:
             if not 0 <= idx < self._num_vars:
                 raise IndexError(f"variable index {idx} out of range "
                                  f"(have {self._num_vars} variables)")
+        n = len(coeffs)
+        cols = np.fromiter(coeffs, dtype=np.int64, count=n)
+        vals = np.fromiter(coeffs.values(), dtype=float, count=n)
+        if 0.0 in coeffs.values():
+            keep = vals != 0.0
+            cols, vals = cols[keep], vals[keep]
+        target.append(np.zeros(cols.size, dtype=np.int64), cols, vals,
+                      np.array([float(rhs)]))
 
     def add_le_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
         """Add ``sum coeffs[i] * x_i <= rhs``."""
-        self._check_coeffs(coeffs)
-        row = len(self._b_ub)
-        for idx, val in coeffs.items():
-            if val != 0.0:
-                self._ub_rows.append(row)
-                self._ub_cols.append(idx)
-                self._ub_vals.append(float(val))
-        self._b_ub.append(float(rhs))
+        self._add_dict_row(self._le, coeffs, rhs)
 
     def add_ge_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
         """Add ``sum coeffs[i] * x_i >= rhs`` (stored negated)."""
@@ -170,30 +217,19 @@ class LinearProgram:
 
     def add_eq_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
         """Add ``sum coeffs[i] * x_i == rhs``."""
-        self._check_coeffs(coeffs)
-        row = len(self._b_eq)
-        for idx, val in coeffs.items():
-            if val != 0.0:
-                self._eq_rows.append(row)
-                self._eq_cols.append(idx)
-                self._eq_vals.append(float(val))
-        self._b_eq.append(float(rhs))
+        self._add_dict_row(self._eq, coeffs, rhs)
 
     def add_dense_le_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
         """Add many dense ``<=`` rows at once (shape checks included)."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rhs = np.array(rhs, dtype=float, ndmin=1)
         if rows.shape[0] != rhs.shape[0]:
             raise ValueError("row/rhs count mismatch")
         if rows.shape[1] != self._num_vars:
             raise ValueError(
                 f"row width {rows.shape[1]} != variable count {self._num_vars}")
-        base = len(self._b_ub)
         r_idx, c_idx = np.nonzero(rows)
-        self._ub_rows.extend((r_idx + base).tolist())
-        self._ub_cols.extend(c_idx.tolist())
-        self._ub_vals.extend(rows[r_idx, c_idx].tolist())
-        self._b_ub.extend(rhs.tolist())
+        self._le.append(r_idx, c_idx, rows[r_idx, c_idx], rhs)
 
     def add_sparse_le_rows(self, rows: "sparse.spmatrix",
                            rhs: np.ndarray) -> None:
@@ -204,8 +240,7 @@ class LinearProgram:
         master LP, whose constraint rows are zone-local and would be
         ~99% explicit zeros at 100x room sizes.
         """
-        self._add_sparse_rows(rows, rhs, self._ub_rows, self._ub_cols,
-                              self._ub_vals, self._b_ub)
+        self._add_sparse_rows(self._le, rows, rhs)
 
     def add_sparse_eq_rows(self, rows: "sparse.spmatrix",
                            rhs: np.ndarray) -> None:
@@ -215,27 +250,43 @@ class LinearProgram:
         keep the COO order of ``rows``, so a block assembled here equals
         the same rows added one :meth:`add_eq_constraint` call at a time.
         """
-        self._add_sparse_rows(rows, rhs, self._eq_rows, self._eq_cols,
-                              self._eq_vals, self._b_eq)
+        self._add_sparse_rows(self._eq, rows, rhs)
 
-    def _add_sparse_rows(self, rows: "sparse.spmatrix", rhs: np.ndarray,
-                         row_idx: list[int], col_idx: list[int],
-                         vals: list[float], b: list[float]) -> None:
+    def _add_sparse_rows(self, target: _Rows, rows: "sparse.spmatrix",
+                         rhs: np.ndarray) -> None:
         coo = sparse.coo_matrix(rows)
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rhs = np.array(rhs, dtype=float, ndmin=1)
         if coo.shape[0] != rhs.shape[0]:
             raise ValueError("row/rhs count mismatch")
         if coo.shape[1] != self._num_vars:
             raise ValueError(
                 f"row width {coo.shape[1]} != variable count {self._num_vars}")
-        base = len(b)
         keep = coo.data != 0.0
-        row_idx.extend((coo.row[keep] + base).tolist())
-        col_idx.extend(coo.col[keep].tolist())
-        vals.extend(coo.data[keep].tolist())
-        b.extend(rhs.tolist())
+        target.append(coo.row[keep], coo.col[keep], coo.data[keep], rhs)
 
     # ------------------------------------------------------------------
+    def matrices(self) -> tuple["sparse.csr_matrix | None",
+                                "np.ndarray | None",
+                                "sparse.csr_matrix | None",
+                                "np.ndarray | None"]:
+        """The assembled constraints as ``(A_ub, b_ub, A_eq, b_eq)``.
+
+        ``A_ub``/``A_eq`` are CSR with one column per variable, and
+        duplicate triplets are summed; a sense without rows gives
+        ``None`` for both its matrix and its rhs, as
+        :func:`scipy.optimize.linprog` expects.
+        """
+        return (*self._matrix(self._le), *self._matrix(self._eq))
+
+    def _matrix(self, rows: _Rows
+                ) -> tuple["sparse.csr_matrix | None", "np.ndarray | None"]:
+        if not rows.n_rows:
+            return None, None
+        r, c, v, b = rows.arrays()
+        return (sparse.csr_matrix((v, (r, c)),
+                                  shape=(rows.n_rows, self._num_vars)),
+                b.copy())
+
     def fingerprint(self) -> str:
         """Exact structural hash of the assembled program.
 
@@ -246,14 +297,15 @@ class LinearProgram:
         of nonzeros; hot paths that can derive a cheaper equivalent key
         should do so and pass it to :meth:`solve` directly.
         """
+        le_rows, le_cols, le_vals, b_ub = self._le.arrays()
+        eq_rows, eq_cols, eq_vals, b_eq = self._eq.arrays()
         h = hashlib.sha256()
         h.update(b"max" if self.maximize else b"min")
-        for part in (self._obj, self._lb, self._ub, self._b_ub, self._b_eq,
-                     self._ub_vals, self._eq_vals):
+        for part in (self._obj, self._lb, self._ub, b_ub, b_eq,
+                     le_vals, eq_vals):
             h.update(np.asarray(part, dtype=float).tobytes())
-        for part in (self._ub_rows, self._ub_cols,
-                     self._eq_rows, self._eq_cols):
-            h.update(np.asarray(part, dtype=np.int64).tobytes())
+        for part in (le_rows, le_cols, eq_rows, eq_cols):
+            h.update(part.tobytes())
         h.update(self._num_vars.to_bytes(8, "little"))
         return h.hexdigest()
 
@@ -284,7 +336,7 @@ class LinearProgram:
                 return warm_start.solution
             obs_metrics.counter(f"lp.warm_misses.{self.name}").inc()
         with obs_span("lp", lp=self.name, vars=self._num_vars,
-                      constraints=self.num_constraints):
+                      constraints=self.num_constraints, nnz=self.nnz):
             return self._solve(require_feasible)
 
     def _solve(self, require_feasible: bool) -> LPSolution:
@@ -292,21 +344,12 @@ class LinearProgram:
         obs_metrics.histogram(f"lp.vars.{self.name}").observe(self._num_vars)
         obs_metrics.histogram(
             f"lp.constraints.{self.name}").observe(self.num_constraints)
+        obs_metrics.histogram(f"lp.nnz.{self.name}").observe(self.nnz)
         c = np.asarray(self._obj, dtype=float)
         if self.maximize:
             c = -c
         n = self._num_vars
-        a_ub = b_ub = a_eq = b_eq = None
-        if self._b_ub:
-            a_ub = sparse.csr_matrix(
-                (self._ub_vals, (self._ub_rows, self._ub_cols)),
-                shape=(len(self._b_ub), n))
-            b_ub = np.asarray(self._b_ub, dtype=float)
-        if self._b_eq:
-            a_eq = sparse.csr_matrix(
-                (self._eq_vals, (self._eq_rows, self._eq_cols)),
-                shape=(len(self._b_eq), n))
-            b_eq = np.asarray(self._b_eq, dtype=float)
+        a_ub, b_ub, a_eq, b_eq = self.matrices()
         bounds = np.column_stack([self._lb, self._ub])
         res = _scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                              bounds=bounds, method="highs")

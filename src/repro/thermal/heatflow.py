@@ -62,6 +62,11 @@ __all__ = ["HeatFlowModel", "SteadyState", "SteadyStateBatch",
 #: while 100x rooms never build an O(n^2) inverse.
 SPARSE_AUTO_UNITS: int = 4096
 
+#: Units per transpose solve in :meth:`HeatFlowModel.gain_rows` on the
+#: sparse backend: its dense scratch is this many columns of
+#: ``n_nodes`` floats, however many rows are asked for.
+GAIN_ROWS_CHUNK: int = 256
+
 #: Tolerance of the alpha non-negativity guard: entries below it are
 #: rejected, entries in ``[-ALPHA_NEG_TOL, 0)`` (LP-vertex / censoring
 #: round-off) are clamped to 0 so no negative coefficient reaches
@@ -319,19 +324,25 @@ class HeatFlowModel:
         """Outlet-to-inlet map: ``T_in = inlet_base @ t_crac + G @ P``."""
         return self._t_base
 
-    def gain_rows(self, units: np.ndarray) -> np.ndarray:
-        """Selected rows of ``G`` without materializing the full matrix.
+    def gain_rows(self, units: np.ndarray) -> sp.csr_matrix:
+        """Selected rows of ``G`` as CSR, exact zeros dropped.
 
         ``G[u, :] = (W^T A_all_M[u, :]^T)^T diag(coeff)``, so each row
         costs one transpose solve against the cached factorization on
-        the sparse backend (a plain row gather on the dense one).
+        the sparse backend (a plain row gather on the dense one).  The
+        solves run :data:`GAIN_ROWS_CHUNK` units at a time, so the dense
+        scratch stays ``GAIN_ROWS_CHUNK x n_nodes`` and only the rows'
+        nonzeros (zone-local on zonal rooms) outlive the call.
         """
         units = np.asarray(units, dtype=int)
         if self.backend == "dense":
-            return self.inlet_gain[units]
-        b = self._a_all_m[units].toarray().T
-        x = self._lu.solve(b, trans="T")
-        return x.T * self.node_heat_coeff[None, :]
+            return sp.csr_matrix(self.inlet_gain[units])
+        chunks = [sp.csr_matrix((0, self.n_nodes))]
+        for start in range(0, units.size, GAIN_ROWS_CHUNK):
+            part = units[start:start + GAIN_ROWS_CHUNK]
+            x = self._lu.solve(self._a_all_m[part].toarray().T, trans="T")
+            chunks.append(sp.csr_matrix(x.T * self.node_heat_coeff[None, :]))
+        return sp.vstack(chunks, format="csr")
 
     def apply_gain(self, node_power_kw: np.ndarray) -> np.ndarray:
         """``G @ P`` for one power vector — one solve, no dense ``G``."""

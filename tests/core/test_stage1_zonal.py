@@ -6,6 +6,8 @@ fig6-style rooms the golden suite pins, and (c) replay in O(1) when
 only arrival rates change (the 100x serve-loop contract).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,34 @@ class TestValidationAndInfeasibility:
         with pytest.raises(InfeasibleError, match="base power"):
             solve_stage1_zonal(sc.datacenter, sc.workload, p_const=1.0,
                                t_crac_out=T_FIXED)
+
+
+class TestMemory:
+    #: Bound on the Python-heap peak of one cold solve on the 600-node
+    #: room below.  Dense cut rows peaked at ~15 MB there; CSR rows and
+    #: array-backed LP triplets stay near 7 MB.
+    PEAK_MB = 10.0
+
+    def test_cold_solve_peak_stays_bounded(self):
+        """A node's gain row lives in its own zone: the cut rows and the
+        master LP must be stored sparse, not as dense rows or Python
+        scalars."""
+        rng = np.random.default_rng(7)
+        dc = build_datacenter(n_nodes=600, n_crac=12, rng=rng)
+        attach_zonal_thermal(dc)
+        workload = generate_workload(dc, rng)
+        t = np.full(12, 18.0)
+        p_off = total_power(dc, t, dc.node_power_kw(
+            dc.all_off_pstates())).total
+        p_full = total_power(dc, t, dc.node_power_kw(
+            dc.all_p0_pstates())).total
+        cap = p_off + 0.6 * (p_full - p_off)
+        tracemalloc.start()
+        try:
+            result, _ = solve_stage1_zonal(dc, workload, p_const=cap,
+                                           t_crac_out=t, max_sweeps=2)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert result.repair_scale == 1.0
+        assert peak_mb <= self.PEAK_MB, f"cold zonal peak {peak_mb:.1f} MB"

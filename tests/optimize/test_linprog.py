@@ -2,8 +2,30 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from repro import obs
 from repro.optimize.linprog import InfeasibleError, LinearProgram
+
+
+def _mixed_lp() -> LinearProgram:
+    """One program built through every row method: dict rows (including
+    an explicit zero coefficient), a dense block and sparse blocks."""
+    lp = LinearProgram(name="mixed", maximize=True)
+    x = lp.add_variables(4, lb=0.0, ub=[1.0, 2.0, 3.0, 4.0],
+                         objective=[1.0, 0.5, -0.25, 2.0])
+    lp.add_le_constraint({x[0]: 1.0, x[2]: 0.0, x[3]: 2.5}, 6.0)
+    lp.add_ge_constraint({x[1]: 1.0, x[0]: -0.5}, -1.0)
+    lp.add_eq_constraint({x[2]: 1.0, x[3]: -1.0}, 0.5)
+    lp.add_dense_le_rows(np.array([[0.0, 1.0, 1.0, 0.0],
+                                   [3.0, 0.0, 0.0, 1.0]]), [4.0, 7.0])
+    lp.add_sparse_le_rows(sparse.csr_matrix(np.array([[0.0, 0.0, 2.0, 0.0],
+                                                      [1.0, 1.0, 0.0, 1.0]])),
+                          np.array([5.0, 9.0]))
+    lp.add_sparse_eq_rows(sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 1.0]])),
+                          [3.0])
+    lp.set_bounds(x[1], 0.5, 1.5)
+    return lp
 
 
 class TestVariables:
@@ -89,6 +111,52 @@ class TestConstraints:
             lp.add_dense_le_rows(np.ones((2, 2)), np.ones(1))
 
 
+class TestMatrices:
+    def test_assembled_system(self):
+        a_ub, b_ub, a_eq, b_eq = _mixed_lp().matrices()
+        np.testing.assert_array_equal(a_ub.toarray(), [
+            [1.0, 0.0, 0.0, 2.5],
+            [0.5, -1.0, 0.0, 0.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [3.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 2.0, 0.0],
+            [1.0, 1.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(b_ub, [6.0, 1.0, 4.0, 7.0, 5.0, 9.0])
+        np.testing.assert_array_equal(a_eq.toarray(), [
+            [0.0, 0.0, 1.0, -1.0],
+            [1.0, 0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(b_eq, [0.5, 3.0])
+
+    def test_sense_without_rows_is_none(self):
+        lp = LinearProgram()
+        lp.add_variables(2)
+        lp.add_le_constraint({0: 1.0}, 1.0)
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        assert a_ub.shape == (1, 2) and b_ub.tolist() == [1.0]
+        assert a_eq is None and b_eq is None
+
+    def test_nnz_counts_stored_triplets(self):
+        # the explicit zero in the first dict row is never stored
+        assert _mixed_lp().nnz == 2 + 2 + 2 + 4 + 4 + 2
+
+    def test_rhs_is_copied_at_insertion(self):
+        lp = LinearProgram()
+        lp.add_variables(1)
+        rhs = np.array([1.0])
+        lp.add_dense_le_rows(np.ones((1, 1)), rhs)
+        rhs[0] = 5.0
+        assert lp.matrices()[1].tolist() == [1.0]
+
+    def test_solve_observes_nnz(self):
+        with obs.capture() as snap_fn:
+            _mixed_lp().solve()
+            snap = snap_fn()
+        hist = snap["metrics"]["lp.nnz.mixed"]
+        assert (hist["count"], hist["total"]) == (1, 16)
+        (record,) = [r for r in snap["spans"] if r["name"] == "lp"]
+        assert record["attrs"]["nnz"] == 16
+
+
 class TestSolve:
     def test_infeasible_raises_with_name(self):
         lp = LinearProgram(name="broken")
@@ -134,6 +202,12 @@ class TestWarmStart:
         lp.add_variables(2, lb=0.0, ub=ub, objective=1.0)
         lp.add_le_constraint({0: 1.0, 1: 1.0}, 3.0)
         return lp
+
+    def test_fingerprint_pinned_across_row_kinds(self):
+        """Replay keys must not move when the triplet storage changes:
+        this digest is the one the list-backed assembly produced."""
+        assert _mixed_lp().fingerprint() == (
+            "adb1da2a7a8356426be27bb53cf0f192ca640fa5bf5fdd847396f4538e2f250a")
 
     def test_fingerprint_stable_and_sensitive(self):
         assert self._lp().fingerprint() == self._lp().fingerprint()

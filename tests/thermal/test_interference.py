@@ -172,8 +172,7 @@ class TestAssembly:
     def test_equality_block_has_full_row_rank(self, tiny, monkeypatch):
         lp, _ = _assembled_lp(tiny, 0, monkeypatch)
         n = tiny.n_units
-        a_eq = np.zeros((len(lp._b_eq), n * n))
-        np.add.at(a_eq, (lp._eq_rows, lp._eq_cols), lp._eq_vals)
+        a_eq = lp.matrices()[2].toarray()
         # n row sums + n - 1 flow balances: the last balance is implied
         assert a_eq.shape[0] == 2 * n - 1
         assert np.linalg.matrix_rank(a_eq) == 2 * n - 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.datacenter import build_datacenter
+from repro.thermal import heatflow
 from repro.thermal import (DEFAULT_COUPLING, SPARSE_AUTO_UNITS,
                            HeatFlowModel, ThermalLinearization,
                            attach_zonal_thermal, zonal_block_alpha,
@@ -101,11 +102,41 @@ class TestBackendAgreement:
     def test_gain_rows_and_apply_gain(self, pair):
         dense, sparse = pair
         units = np.asarray([0, 2, dense.n_crac + 1, dense.n_units - 1])
-        np.testing.assert_allclose(sparse.gain_rows(units),
+        np.testing.assert_allclose(sparse.gain_rows(units).toarray(),
                                    dense.inlet_gain[units], atol=ATOL)
         p = np.linspace(0.1, 0.9, dense.n_nodes)
         np.testing.assert_allclose(sparse.apply_gain(p),
                                    dense.apply_gain(p), atol=ATOL)
+
+
+class TestGainRows:
+    """``gain_rows`` returns CSR, solved in column chunks that do not
+    change a single bit of the rows."""
+
+    @pytest.fixture(scope="class")
+    def zonal(self):
+        dc = build_datacenter(n_nodes=600, n_crac=12,
+                              rng=np.random.default_rng(7))
+        return attach_zonal_thermal(dc)
+
+    def test_csr_on_both_backends(self, pair):
+        units = np.arange(pair[0].n_units)
+        for model in pair:
+            rows = model.gain_rows(units)
+            assert sp.issparse(rows) and rows.format == "csr"
+
+    def test_chunked_equals_single_solve(self, zonal, monkeypatch):
+        units = np.arange(zonal.n_crac, zonal.n_crac + 300)
+        assert units.size > heatflow.GAIN_ROWS_CHUNK
+        chunked = zonal.gain_rows(units)
+        monkeypatch.setattr(heatflow, "GAIN_ROWS_CHUNK", units.size)
+        whole = zonal.gain_rows(units)
+        assert (chunked.toarray() == whole.toarray()).all()
+        assert chunked.nnz < chunked.shape[0] * chunked.shape[1]
+
+    def test_empty_request(self, pair, zonal):
+        for model in (*pair, zonal):
+            assert model.gain_rows([]).shape == (0, model.n_nodes)
 
 
 class TestBackendSelection:
