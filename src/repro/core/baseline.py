@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datacenter.builder import DataCenter
-from repro.optimize.linprog import InfeasibleError, LinearProgram
+from repro.optimize.linprog import InfeasibleError, LinearProgram, grouped_rows
 from repro.optimize.search import (SearchResult, coarse_to_fine_search,
                                    uniform_then_coordinate_search)
 from repro.thermal.constraints import ThermalLinearization
@@ -129,57 +129,36 @@ def solve_baseline_fixed_temps(datacenter: DataCenter, workload: Workload,
     p0 = np.asarray([n.spec.p0_power_kw for n in datacenter.nodes])
     type_of = datacenter.node_type_index
 
-    lp = LinearProgram(name="baseline", maximize=True)
-    var = np.full((t_count, n_nodes), -1, dtype=int)
-    for j in range(n_nodes):
-        jt = type_of[j]
-        for i in range(t_count):
-            speed = float(ecs0[i, jt])
-            if speed <= 0.0:
-                continue
-            # deadline handling: FRAC(i, j) = 0 when m_i < 1/ECS(i,j,0)
-            if 1.0 / speed > float(workload.deadline_slack[i]):
-                continue
-            reward = float(workload.rewards[i]) * speed * n_cores[j]
-            var[i, j] = lp.add_variables(1, lb=0.0, ub=1.0,
-                                         objective=reward)[0]
-    if lp.num_variables == 0:
+    # One variable FRAC(i, j) per node j and task type i, node-major, for
+    # the types node j's P-state 0 runs (ECS > 0) within the deadline
+    # (FRAC(i, j) = 0 when m_i < 1/ECS(i, j, 0)).
+    speed = ecs0[:, type_of].T                  # (NCN, T)
+    with np.errstate(divide="ignore"):
+        usable = (speed > 0.0) & ~(1.0 / speed > workload.deadline_slack)
+    if not usable.any():
         return None
+    node_of, type_of_var = np.nonzero(usable)
+    lp = LinearProgram(name="baseline", maximize=True)
+    lp.add_variables(node_of.size, lb=0.0, ub=1.0,
+                     objective=workload.rewards[type_of_var]
+                     * speed[node_of, type_of_var] * n_cores[node_of])
 
     # Constraint 2: per node, fractions sum to at most 1.
-    for j in range(n_nodes):
-        coeffs = {var[i, j]: 1.0 for i in range(t_count) if var[i, j] >= 0}
-        if coeffs:
-            lp.add_le_constraint(coeffs, 1.0)
+    nodes, block = grouped_rows(node_of, np.ones(node_of.size))
+    lp.add_le_rows(block, np.ones(nodes.size))
     # Constraint 1: per task type, executed rate <= arrival rate.
-    for i in range(t_count):
-        coeffs = {var[i, j]: float(n_cores[j] * ecs0[i, type_of[j]])
-                  for j in range(n_nodes) if var[i, j] >= 0}
-        if coeffs:
-            lp.add_le_constraint(coeffs, float(workload.arrival_rates[i]))
+    types, block = grouped_rows(type_of_var,
+                                n_cores[node_of] * speed[node_of, type_of_var])
+    lp.add_le_rows(block, workload.arrival_rates[types])
     # Constraints 3/4: power cap and redlines — node core power is
     # p0_j * n_cores_j * sum_i FRAC(i, j).
     node_core_coeff = p0 * n_cores
-    rhs_power = p_const - base_total
-    power_coeffs: dict[int, float] = {}
-    for j in range(n_nodes):
-        w = float((1.0 + lin.crac_coeff[j]) * node_core_coeff[j])
-        for i in range(t_count):
-            if var[i, j] >= 0:
-                power_coeffs[var[i, j]] = w
-    lp.add_le_constraint(power_coeffs, rhs_power)
-    rhs_redline = lin.redline_rhs - base_inlet_load
-    for u in range(gain.shape[0]):
-        coeffs = {}
-        for j in range(n_nodes):
-            w = float(gain[u, j] * node_core_coeff[j])
-            if w == 0.0:
-                continue
-            for i in range(t_count):
-                if var[i, j] >= 0:
-                    coeffs[var[i, j]] = w
-        if coeffs:
-            lp.add_le_constraint(coeffs, float(rhs_redline[u]))
+    lp.add_le_rows(((1.0 + lin.crac_coeff) * node_core_coeff)[node_of],
+                   p_const - base_total)
+    redline = gain * node_core_coeff
+    live = (redline[:, nodes] != 0.0).any(axis=1)
+    lp.add_le_rows(redline[live][:, node_of],
+                   (lin.redline_rhs - base_inlet_load)[live])
 
     try:
         sol = lp.solve()
@@ -187,8 +166,7 @@ def solve_baseline_fixed_temps(datacenter: DataCenter, workload: Workload,
         return None
 
     frac = np.zeros((t_count, n_nodes))
-    mask = var >= 0
-    frac[mask] = sol.x[var[mask]]
+    frac[type_of_var, node_of] = sol.x
 
     # Eq. 22 rounding: scale each node's fractions down so that the used
     # core count is integral.

@@ -90,14 +90,10 @@ def solve_minpower_fixed_temps(datacenter: DataCenter,
     power_coeff = (1.0 + lin.crac_coeff)[node_of_var]
     lp = LinearProgram(name="minpower", maximize=False)
     lp.add_variables(n_vars, lb=0.0, ub=caps, objective=power_coeff)
-    # reward floor
-    lp.add_ge_constraint(
-        {int(i): float(s) for i, s in enumerate(slopes) if s != 0.0},
-        float(reward_target))
+    # reward floor, slopes @ x >= target, stored negated
+    lp.add_le_rows(-slopes, -float(reward_target))
     # redlines
-    rows = gain[:, node_of_var]
-    rhs = lin.redline_rhs - base_inlet_load
-    lp.add_dense_le_rows(rows, rhs)
+    lp.add_le_rows(gain[:, node_of_var], lin.redline_rhs - base_inlet_load)
     try:
         sol = lp.solve()
     except InfeasibleError:

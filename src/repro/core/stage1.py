@@ -34,7 +34,7 @@ from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
 from repro.core.warmstart import WarmContext
 from repro.optimize.linprog import (InfeasibleError, LinearProgram,
-                                    LPSolution, LPWarmStart)
+                                    LPSolution)
 from repro.optimize.search import (SearchResult, coarse_to_fine_search,
                                    seeded_coordinate_search,
                                    uniform_then_coordinate_search)
@@ -124,12 +124,12 @@ def solve_stage1_fixed_temps(datacenter: DataCenter,
 
     ``segments`` lets the caller hoist the (temperature-independent)
     hull-segment assembly out of the probe loop.  ``lp_cache`` /
-    ``lp_key`` plug the warm-start replay of
-    :class:`repro.optimize.linprog.LPWarmStart`: when the key is
-    present, the stored LP solution (or stored infeasibility) is
-    replayed bit-for-bit; otherwise the cold solve's outcome is cached
-    under it.  The key must determine the assembled LP exactly — Stage 1
-    derives it from the warm-start digests (see
+    ``lp_key`` replay earlier probes: when the key is present, the
+    stored LP solution (or stored infeasibility) is reused bit-for-bit
+    and no LP is assembled or solved (a replayed solution counts in
+    ``lp.warm_hits.stage1``); otherwise the cold solve's outcome is
+    cached under it.  The key must determine the assembled LP exactly —
+    Stage 1 derives it from the warm-start digests (see
     :mod:`repro.core.warmstart`).
     """
     lin = linearization
@@ -150,38 +150,30 @@ def solve_stage1_fixed_temps(datacenter: DataCenter,
         if disabled_nodes.shape != (datacenter.n_nodes,):
             raise ValueError("disabled_nodes mask shape mismatch")
         caps = np.where(disabled_nodes[node_of_var], 0.0, caps)
-    n_vars = caps.size
-    lp = LinearProgram(name="stage1", maximize=True)
-    lp.add_variables(n_vars, lb=0.0, ub=caps, objective=slopes)
-
-    # Redline rows: gain[u] @ (base + C) <= redline_rhs[u].
-    # Expand node coefficients onto segment variables.
-    rows = gain[:, node_of_var]
-    rhs = lin.redline_rhs - base_inlet_load
-    lp.add_dense_le_rows(rows, rhs)
-
-    # Power cap: sum_j (1 + crac_coeff_j) * C_j <= Pconst - base_total.
-    power_row = (1.0 + lin.crac_coeff)[node_of_var]
-    lp.add_dense_le_rows(power_row[None, :], np.asarray([p_const - base_total]))
-
     caching = lp_cache is not None and lp_key is not None
-    warm = None
-    if caching:
-        cached = lp_cache.get(lp_key, _LP_MISS)
-        if cached is None:      # this exact LP was infeasible before
-            obs_metrics.counter("stage1.infeasible_lp_replays").inc()
-            return None
-        if cached is not _LP_MISS:
-            warm = LPWarmStart(fingerprint=lp_key, solution=cached)
-    try:
-        sol = lp.solve(warm_start=warm,
-                       fingerprint=lp_key if caching else None)
-    except InfeasibleError:
-        if caching:
-            lp_cache[lp_key] = None
+    sol = lp_cache.get(lp_key, _LP_MISS) if caching else _LP_MISS
+    if sol is None:             # this exact LP was infeasible before
+        obs_metrics.counter("stage1.infeasible_lp_replays").inc()
         return None
-    if caching and warm is None:
-        lp_cache[lp_key] = sol
+    if sol is not _LP_MISS:
+        obs_metrics.counter("lp.warm_hits.stage1").inc()
+    else:
+        lp = LinearProgram(name="stage1", maximize=True)
+        lp.add_variables(caps.size, lb=0.0, ub=caps, objective=slopes)
+        # Redline rows: gain[u] @ (base + C) <= redline_rhs[u], the node
+        # coefficients expanded onto segment variables.
+        lp.add_le_rows(gain[:, node_of_var], lin.redline_rhs - base_inlet_load)
+        # Power cap: sum_j (1 + crac_coeff_j) * C_j <= Pconst - base_total.
+        lp.add_le_rows((1.0 + lin.crac_coeff)[node_of_var],
+                       p_const - base_total)
+        try:
+            sol = lp.solve()
+        except InfeasibleError:
+            if caching:
+                lp_cache[lp_key] = None
+            return None
+        if caching:
+            lp_cache[lp_key] = sol
 
     fills = sol.x
     core_sums = np.bincount(node_of_var, weights=fills,

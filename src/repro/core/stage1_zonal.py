@@ -411,11 +411,10 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
             lp.add_variables(blk.var_idx.size, lb=0.0,
                              ub=caps[blk.var_idx],
                              objective=slopes[blk.var_idx])
-            lp.add_dense_le_rows(np.vstack([rows_n, rows_c, rows_a]),
-                                 np.concatenate([rhs_n, rhs_c, rhs_a]))
-            power_row = (1.0 + crac_coeff[nodes])[blk.var_loc]
-            lp.add_dense_le_rows(power_row[None, :],
-                                 np.asarray([max(budget, 0.0)]))
+            lp.add_le_rows(np.vstack([rows_n, rows_c, rows_a]),
+                           np.concatenate([rhs_n, rhs_c, rhs_a]))
+            lp.add_le_rows((1.0 + crac_coeff[nodes])[blk.var_loc],
+                           max(budget, 0.0))
             sol = lp.solve()
             lp_core = np.bincount(blk.var_loc, weights=sol.x,
                                   minlength=nodes.size)
@@ -480,12 +479,11 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
 
     master = LinearProgram(name="stage1_zonal_master", maximize=True)
     master.add_variables(n_vars, lb=0.0, ub=caps, objective=slopes)
-    master.add_dense_le_rows((1.0 + crac_coeff)[node_of_var][None, :],
-                             np.asarray([p_const - base_total]))
-    master.add_sparse_le_rows(sparse_rows(crac_gain),
-                              redline[:nc] - const_c - crac_gain @ base)
+    master.add_le_rows((1.0 + crac_coeff)[node_of_var], p_const - base_total)
+    master.add_le_rows(sparse_rows(crac_gain),
+                       redline[:nc] - const_c - crac_gain @ base)
     if active_nodes.size:
-        master.add_sparse_le_rows(
+        master.add_le_rows(
             sparse_rows(active_gain),
             redline[nc + active_nodes] - active_const - active_gain @ base)
     cuts = 0
@@ -500,7 +498,7 @@ def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
         cuts += 1
         gain_f = model.gain_rows(nc + fresh)
         const_f = model.inlet_base[nc + fresh] @ t
-        master.add_sparse_le_rows(
+        master.add_le_rows(
             sparse_rows(gain_f),
             redline[nc + fresh] - const_f - gain_f @ base)
         active_nodes = np.concatenate([active_nodes, fresh])

@@ -27,7 +27,7 @@ import numpy as np
 from repro.datacenter.builder import DataCenter
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
-from repro.optimize.linprog import LinearProgram
+from repro.optimize.linprog import LinearProgram, grouped_rows
 from repro.workload.tasktypes import Workload
 
 __all__ = ["Stage3Solution", "solve_stage3"]
@@ -57,85 +57,84 @@ class Stage3Solution:
     class_key: list[tuple[int, int]]
 
 
-def solve_stage3(datacenter: DataCenter, workload: Workload,
-                 pstates: np.ndarray) -> Stage3Solution:
-    """Solve the Stage 3 LP for a fixed P-state assignment."""
-    with obs_span("stage3", n_cores=datacenter.n_cores):
-        return _solve_stage3(datacenter, workload, pstates)
+@dataclass
+class ClassLP:
+    """Stage 3's LP over (node type, P-state) classes, before solving.
+
+    Variable ``v`` is the total rate of task type ``type_of[v]`` over the
+    cores of class ``class_of[v]``, class-major; a (type, class) pair
+    gets a variable only if the class runs the type within its deadline
+    (Constraint 2).  ``lp`` holds Constraints 1 and 3 and has no
+    variables when no class can earn reward (e.g. everything off).
+    """
+
+    lp: LinearProgram
+    type_of: np.ndarray
+    class_of: np.ndarray
+    core_class: np.ndarray          # class position of every core
+    class_count: np.ndarray         # cores per class
+    class_key: list[tuple[int, int]]
+    ecs: np.ndarray                 # (T, classes) ECS of each class
+
+    def solution(self, x: np.ndarray | None,
+                 reward_rate: float) -> Stage3Solution:
+        """Split the class rates ``x`` equally over member cores."""
+        class_rates = np.zeros(self.ecs.shape)
+        if x is not None:
+            class_rates[self.type_of, self.class_of] = x
+        tc = (class_rates / self.class_count)[:, self.core_class]
+        return Stage3Solution(tc=tc, reward_rate=reward_rate,
+                              class_rates=class_rates,
+                              class_key=self.class_key)
 
 
-def _solve_stage3(datacenter: DataCenter, workload: Workload,
-                  pstates: np.ndarray) -> Stage3Solution:
+def class_lp(datacenter: DataCenter, workload: Workload,
+             pstates: np.ndarray, name: str) -> ClassLP:
+    """Group cores into classes and build Stage 3's variables and rows.
+
+    Raises
+    ------
+    ValueError
+        If ``pstates`` is not one P-state per core in ``[0, eta)``.
+    """
     pstates = np.asarray(pstates, dtype=int)
     if pstates.shape != (datacenter.n_cores,):
         raise ValueError(
             f"expected {datacenter.n_cores} P-states, got {pstates.shape}")
-    n_types = len(datacenter.node_types)
     eta = workload.n_pstates
     if np.any(pstates < 0) or np.any(pstates >= eta):
         raise ValueError("P-state index out of ECS range")
-    t_count = workload.n_task_types
+    present, core_class, class_count = np.unique(
+        datacenter.core_type * eta + pstates,
+        return_inverse=True, return_counts=True)
+    ecs = workload.ecs[:, present // eta, present % eta]
+    with np.errstate(divide="ignore"):
+        usable = (ecs > 0.0) & (1.0 / ecs <= workload.deadline_slack[:, None])
+    class_of, type_of = np.nonzero(usable.T)
+    lp = LinearProgram(name=name, maximize=True)
+    n_vars = type_of.size
+    if n_vars:
+        lp.add_variables(n_vars, lb=0.0, objective=workload.rewards[type_of])
+        # Constraint 1 aggregated per class: sum_i u[i,g]/ECS <= count_g
+        classes, rows = grouped_rows(class_of, 1.0 / ecs[type_of, class_of])
+        lp.add_le_rows(rows, class_count[classes])
+        # Constraint 3 per task type: sum_g u[i,g] <= lambda_i
+        types, rows = grouped_rows(type_of, np.ones(n_vars))
+        lp.add_le_rows(rows, workload.arrival_rates[types])
+    return ClassLP(lp=lp, type_of=type_of, class_of=class_of,
+                   core_class=core_class, class_count=class_count,
+                   class_key=[(int(c // eta), int(c % eta)) for c in present],
+                   ecs=ecs)
 
-    # ------------------------------------------------------------------
-    # group cores into (node type, P-state) classes
-    class_id = datacenter.core_type * eta + pstates
-    present = np.unique(class_id)
-    obs_metrics.histogram("stage3.classes").observe(present.size)
-    class_count = np.asarray([(class_id == c).sum() for c in present])
-    class_key = [(int(c // eta), int(c % eta)) for c in present]
-    n_classes = present.size
 
-    # drop classes that can execute nothing (off state) from the LP but
-    # keep them in the key list for reporting
-    lp = LinearProgram(name="stage3", maximize=True)
-    # variable u[i, g] = total rate of type i over class g's cores
-    var = np.full((t_count, n_classes), -1, dtype=int)
-    rates_ub: dict[int, float] = {}
-    for g, (jtype, k) in enumerate(class_key):
-        ecs_col = workload.ecs[:, jtype, k]
-        for i in range(t_count):
-            if ecs_col[i] <= 0.0:
-                continue                      # cannot run / off: TC = 0
-            if not workload.can_meet_deadline(i, jtype, k):
-                continue                      # Constraint 2: TC = 0
-            idx = lp.add_variables(
-                1, lb=0.0, ub=np.inf,
-                objective=float(workload.rewards[i]))[0]
-            var[i, g] = idx
-    if lp.num_variables == 0:
-        # nothing can earn reward (e.g. everything off)
-        tc = np.zeros((t_count, datacenter.n_cores))
-        return Stage3Solution(tc=tc, reward_rate=0.0,
-                              class_rates=np.zeros((t_count, n_classes)),
-                              class_key=class_key)
-
-    # Constraint 1 aggregated per class: sum_i u[i,g]/ECS <= count_g
-    for g, (jtype, k) in enumerate(class_key):
-        coeffs = {}
-        for i in range(t_count):
-            if var[i, g] >= 0:
-                coeffs[var[i, g]] = 1.0 / float(workload.ecs[i, jtype, k])
-        if coeffs:
-            lp.add_le_constraint(coeffs, float(class_count[g]))
-    # Constraint 3 per task type: sum_g u[i,g] <= lambda_i
-    for i in range(t_count):
-        coeffs = {var[i, g]: 1.0 for g in range(n_classes) if var[i, g] >= 0}
-        if coeffs:
-            lp.add_le_constraint(coeffs, float(workload.arrival_rates[i]))
-
-    sol = lp.solve()
-    class_rates = np.zeros((t_count, n_classes))
-    for i in range(t_count):
-        for g in range(n_classes):
-            if var[i, g] >= 0:
-                class_rates[i, g] = sol.x[var[i, g]]
-
-    # ------------------------------------------------------------------
-    # distribute class rates equally over member cores
-    tc = np.zeros((t_count, datacenter.n_cores))
-    for g, c in enumerate(present):
-        members = np.nonzero(class_id == c)[0]
-        if class_rates[:, g].any():
-            tc[:, members] = (class_rates[:, g] / members.size)[:, None]
-    return Stage3Solution(tc=tc, reward_rate=float(sol.objective),
-                          class_rates=class_rates, class_key=class_key)
+def solve_stage3(datacenter: DataCenter, workload: Workload,
+                 pstates: np.ndarray) -> Stage3Solution:
+    """Solve the Stage 3 LP for a fixed P-state assignment."""
+    with obs_span("stage3", n_cores=datacenter.n_cores):
+        classes = class_lp(datacenter, workload, pstates, "stage3")
+        obs_metrics.histogram("stage3.classes").observe(
+            len(classes.class_key))
+        if classes.lp.num_variables == 0:
+            return classes.solution(None, 0.0)
+        sol = classes.lp.solve()
+        return classes.solution(sol.x, float(sol.objective))

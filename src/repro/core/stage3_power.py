@@ -21,12 +21,11 @@ power- and thermally-safe under the task-dependent draw.
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.core.stage3 import Stage3Solution
+from repro.core.stage3 import Stage3Solution, class_lp
 from repro.datacenter.builder import DataCenter
-from repro.optimize.linprog import InfeasibleError, LinearProgram
+from repro.optimize.linprog import InfeasibleError
 from repro.power.taskpower import TaskPowerModel, expected_node_power
 from repro.thermal.constraints import ThermalLinearization
 from repro.workload.tasktypes import Workload
@@ -55,19 +54,18 @@ def solve_stage3_power_aware(datacenter: DataCenter, workload: Workload,
 
     Raises
     ------
+    ValueError
+        If ``pstates`` is not one P-state per core in ``[0, eta)``, or
+        ``task_power`` has the wrong number of task types.
     InfeasibleError
         If even the all-idle room violates the cap (the idle draw of the
         chosen P-states plus base power exceeds ``p_const``).
     """
-    pstates = np.asarray(pstates, dtype=int)
-    if pstates.shape != (datacenter.n_cores,):
-        raise ValueError("pstates shape mismatch")
     if task_power.n_task_types != workload.n_task_types:
         raise ValueError("task power model dimension mismatch")
+    classes = class_lp(datacenter, workload, pstates, "stage3-power-aware")
+    pstates = np.asarray(pstates, dtype=int)
     lin = linearization
-    t_count = workload.n_task_types
-    eta = workload.n_pstates
-    n_types = len(datacenter.node_types)
 
     # nominal per-core P-state power and idle power
     nominal = np.empty(datacenter.n_cores)
@@ -87,108 +85,50 @@ def solve_stage3_power_aware(datacenter: DataCenter, workload: Workload,
     if idle_total > p_const + 1e-9:
         raise InfeasibleError(
             f"idle room draws {idle_total:.2f} kW > cap {p_const:.2f} kW")
+    lp = classes.lp
+    if lp.num_variables == 0:
+        return classes.solution(None, 0.0)
 
-    # classes and per-node class membership counts
-    class_id = datacenter.core_type * eta + pstates
-    present = np.unique(class_id)
-    n_classes = present.size
-    class_count = np.asarray([(class_id == c).sum() for c in present])
-    class_key = [(int(c // eta), int(c % eta)) for c in present]
+    i_of, g_of = classes.type_of, classes.class_of
+    n_classes = len(classes.class_key)
     # membership[j, g] = cores of class g in node j
     membership = np.zeros((datacenter.n_nodes, n_classes))
-    for g, c in enumerate(present):
-        members = class_id == c
-        membership[:, g] = np.bincount(
-            datacenter.core_node[members],
-            minlength=datacenter.n_nodes)
-
-    lp = LinearProgram(name="stage3-power-aware", maximize=True)
-    var = np.full((t_count, n_classes), -1, dtype=int)
+    np.add.at(membership, (datacenter.core_node, classes.core_class), 1.0)
     # marginal node power per unit of u(i, g):
     # busy share per core = u / (n_g * ECS); extra draw over idle per
     # busy second = (factor_i - idle_fraction) * nominal_class
-    marginal = np.zeros((t_count, n_classes))
-    for g, (jtype, k) in enumerate(class_key):
-        spec = datacenter.node_types[jtype]
-        nominal_class = spec.pstate_power_kw[k]
-        for i in range(t_count):
-            speed = float(workload.ecs[i, jtype, k])
-            if speed <= 0.0 or not workload.can_meet_deadline(i, jtype, k):
-                continue
-            var[i, g] = lp.add_variables(
-                1, lb=0.0, objective=float(workload.rewards[i]))[0]
-            marginal[i, g] = (float(task_power.factors[i])
-                              - task_power.idle_fraction) \
-                * nominal_class / (speed * class_count[g])
-    if lp.num_variables == 0:
-        tc = np.zeros((t_count, datacenter.n_cores))
-        return Stage3Solution(tc=tc, reward_rate=0.0,
-                              class_rates=np.zeros((t_count, n_classes)),
-                              class_key=class_key)
-
-    # classic constraints 1 and 3
-    for g, (jtype, k) in enumerate(class_key):
-        coeffs = {}
-        for i in range(t_count):
-            if var[i, g] >= 0:
-                coeffs[var[i, g]] = 1.0 / float(workload.ecs[i, jtype, k])
-        if coeffs:
-            lp.add_le_constraint(coeffs, float(class_count[g]))
-    for i in range(t_count):
-        coeffs = {var[i, g]: 1.0 for g in range(n_classes)
-                  if var[i, g] >= 0}
-        if coeffs:
-            lp.add_le_constraint(coeffs,
-                                 float(workload.arrival_rates[i]))
+    nominal_class = np.asarray([datacenter.node_types[jtype].pstate_power_kw[k]
+                                for jtype, k in classes.class_key])
+    marginal = (task_power.factors[i_of] - task_power.idle_fraction) \
+        * nominal_class[g_of] \
+        / (classes.ecs[i_of, g_of] * classes.class_count[g_of])
 
     # node power as a function of u:
     #   P_j(u) = idle_node_j + sum_{i,g} membership[j,g] * marginal[i,g] * u
     # power cap row: sum_j (1 + crac_coeff_j) P_j(u) <= p_const - const
-    cap_coeffs: dict[int, float] = {}
     weight_j = 1.0 + lin.crac_coeff
-    for i in range(t_count):
-        for g in range(n_classes):
-            if var[i, g] < 0 or marginal[i, g] == 0.0:
-                continue
-            w = float((weight_j * membership[:, g]).sum() * marginal[i, g])
-            cap_coeffs[var[i, g]] = cap_coeffs.get(var[i, g], 0.0) + w
-    rhs_cap = p_const - idle_total
-    lp.add_le_constraint(cap_coeffs, rhs_cap)
-    # redline rows: gain[u_row] @ P(u) <= redline_rhs
+    class_weight = np.asarray([(weight_j * membership[:, g]).sum()
+                               for g in range(n_classes)])
+    lp.add_le_rows(class_weight[g_of] * marginal, p_const - idle_total)
+    # redline rows: gain[u_row] @ P(u) <= redline_rhs.  One dot per
+    # (row, class) over a strided membership column: a matrix product
+    # sums in another order and moves coefficients by an ulp
+    # (tests/core/test_lp_assembly.py compares them with ==)
+    gain_w = np.asarray([[gain_row @ membership[:, g]
+                          for g in range(n_classes)]
+                         for gain_row in lin.inlet_gain])[:, g_of]
+    live = ((gain_w != 0.0) & (marginal != 0.0)).any(axis=1)
     base_load = lin.inlet_gain @ idle_node
-    for row in range(lin.inlet_gain.shape[0]):
-        coeffs = {}
-        gain_row = lin.inlet_gain[row]
-        for g in range(n_classes):
-            gw = float(gain_row @ membership[:, g])
-            if gw == 0.0:
-                continue
-            for i in range(t_count):
-                if var[i, g] >= 0 and marginal[i, g] != 0.0:
-                    key = var[i, g]
-                    coeffs[key] = coeffs.get(key, 0.0) \
-                        + gw * marginal[i, g]
-        if coeffs:
-            lp.add_le_constraint(
-                coeffs, float(lin.redline_rhs[row] - base_load[row]))
+    lp.add_le_rows((gain_w * marginal)[live],
+                   (lin.redline_rhs - base_load)[live])
 
     sol = lp.solve()
-    class_rates = np.zeros((t_count, n_classes))
-    for i in range(t_count):
-        for g in range(n_classes):
-            if var[i, g] >= 0:
-                class_rates[i, g] = sol.x[var[i, g]]
-    tc = np.zeros((t_count, datacenter.n_cores))
-    for g, c in enumerate(present):
-        members = np.nonzero(class_id == c)[0]
-        if class_rates[:, g].any():
-            tc[:, members] = (class_rates[:, g] / members.size)[:, None]
+    result = classes.solution(sol.x, float(sol.objective))
     # safety net: the evaluated expected power must respect the cap
-    node_power = expected_node_power(datacenter, workload, pstates, tc,
-                                     task_power)
+    node_power = expected_node_power(datacenter, workload, pstates,
+                                     result.tc, task_power)
     total = node_power.sum() + lin.crac_power(node_power)
     if total > p_const * (1 + 1e-6) + 1e-6:
         raise AssertionError(
             f"power-aware stage 3 violated its own cap: {total:.3f} kW")
-    return Stage3Solution(tc=tc, reward_rate=float(sol.objective),
-                          class_rates=class_rates, class_key=class_key)
+    return result

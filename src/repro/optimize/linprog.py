@@ -10,20 +10,20 @@ The wrapper exists so that
 * every LP in the code base states its intent (maximize vs minimize)
   explicitly,
 * infeasibility is reported with the model name attached, and
-* constraint matrices can be assembled incrementally, one dict row or
-  one dense/sparse row block at a time, without each call site
-  repeating the scipy boilerplate.
+* constraint matrices are assembled as row blocks — a dense array or a
+  scipy sparse matrix per call, :meth:`LinearProgram.add_le_rows` for
+  ``<=`` and :meth:`LinearProgram.add_eq_rows` for ``==`` — without
+  each call site repeating the scipy boilerplate.
 
 Constraint data is held as numpy ``(row, col, val)`` triplet blocks,
-one list per sense, and concatenated once per :meth:`LinearProgram.solve`
-or :meth:`LinearProgram.fingerprint`; no triplet is ever a Python
-scalar, so a master LP with hundreds of thousands of nonzeros costs
-24 bytes per nonzero rather than a Python object per entry.
+one list per sense, and concatenated once per
+:meth:`LinearProgram.matrices`; no triplet is ever a Python scalar, so
+a master LP with hundreds of thousands of nonzeros costs 24 bytes per
+nonzero rather than a Python object per entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,7 +34,7 @@ from scipy.optimize import linprog as _scipy_linprog
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 
-__all__ = ["LinearProgram", "LPSolution", "LPWarmStart", "InfeasibleError"]
+__all__ = ["LinearProgram", "LPSolution", "InfeasibleError", "grouped_rows"]
 
 
 class InfeasibleError(RuntimeError):
@@ -61,28 +61,19 @@ class LPSolution:
     status: int
 
 
-@dataclass(frozen=True)
-class LPWarmStart:
-    """A previous solve's solution, tagged with the LP it came from.
+def grouped_rows(group_of_var: np.ndarray, vals: np.ndarray
+                 ) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """One row per group that owns a variable: ``(groups, rows)``.
 
-    HiGHS (as exposed through scipy) accepts no starting basis, so the
-    only exact warm-start mechanism available is *replay*: when the new
-    LP is byte-identical to the one that produced ``solution`` (the
-    fingerprints match), the stored solution IS the optimum and is
-    returned without invoking the solver at all.  A mismatched
-    fingerprint falls through to a normal cold solve, so correctness
-    never depends on the warm start.
-
-    ``fingerprint`` is an opaque caller-chosen key.  Callers that
-    already know what distinguishes their LPs (e.g. Stage 1 keys its
-    LPs by (structure digest, power cap, disabled set, temperature
-    vector)) should pass a cheap derived string; callers without such
-    knowledge can use :meth:`LinearProgram.fingerprint`, which hashes
-    the assembled program exactly but costs a pass over the triplets.
+    Variable ``v`` (column ``v``; every variable of the program belongs
+    to a group) enters the row of group ``group_of_var[v]`` with
+    coefficient ``vals[v]``; ``groups`` lists the groups in ascending
+    order, one per row, so a group without variables gets no row.
     """
-
-    fingerprint: str
-    solution: LPSolution
+    groups, row = np.unique(group_of_var, return_inverse=True)
+    n_vars = len(group_of_var)
+    return groups, sparse.csr_matrix((vals, (row, np.arange(n_vars))),
+                                     shape=(groups.size, n_vars))
 
 
 class _Rows:
@@ -134,7 +125,7 @@ class LinearProgram:
     -------
     >>> lp = LinearProgram(name="toy", maximize=True)
     >>> x = lp.add_variables(2, lb=0.0, ub=4.0, objective=[1.0, 2.0])
-    >>> lp.add_le_constraint({x[0]: 1.0, x[1]: 1.0}, 5.0)
+    >>> lp.add_le_rows([1.0, 1.0], 5.0)
     >>> sol = lp.solve()
     >>> float(sol.objective)
     9.0
@@ -181,88 +172,40 @@ class LinearProgram:
         self._obj.extend(obj_arr.tolist())
         return range(start, start + n)
 
-    def set_bounds(self, index: int, lb: float, ub: float) -> None:
-        """Tighten the bounds of an existing variable."""
-        if not 0 <= index < self._num_vars:
-            raise IndexError(f"variable index {index} out of range")
-        if lb > ub:
-            raise ValueError(f"lower bound {lb} exceeds upper bound {ub}")
-        self._lb[index] = float(lb)
-        self._ub[index] = float(ub)
+    def add_le_rows(self, rows: "np.ndarray | sparse.spmatrix",
+                    rhs: float | Sequence[float] | np.ndarray) -> None:
+        """Add ``rows @ x <= rhs``.
 
-    def _add_dict_row(self, target: _Rows, coeffs: dict[int, float],
-                      rhs: float) -> None:
-        # plain-Python checks: a dict row is typically a few entries, for
-        # which numpy reductions cost more than the row itself
-        for idx in coeffs:
-            if not 0 <= idx < self._num_vars:
-                raise IndexError(f"variable index {idx} out of range "
-                                 f"(have {self._num_vars} variables)")
-        n = len(coeffs)
-        cols = np.fromiter(coeffs, dtype=np.int64, count=n)
-        vals = np.fromiter(coeffs.values(), dtype=float, count=n)
-        if 0.0 in coeffs.values():
-            keep = vals != 0.0
-            cols, vals = cols[keep], vals[keep]
-        target.append(np.zeros(cols.size, dtype=np.int64), cols, vals,
-                      np.array([float(rhs)]))
+        ``rows`` is a dense array (one row may be 1-D) or a scipy sparse
+        matrix with one column per variable; zero coefficients are
+        dropped, and a row left empty still counts as a row.  A ``>=``
+        row is added negated.
+        """
+        self._add_rows(self._le, rows, rhs)
 
-    def add_le_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
-        """Add ``sum coeffs[i] * x_i <= rhs``."""
-        self._add_dict_row(self._le, coeffs, rhs)
+    def add_eq_rows(self, rows: "np.ndarray | sparse.spmatrix",
+                    rhs: float | Sequence[float] | np.ndarray) -> None:
+        """Add ``rows @ x == rhs``; ``rows`` as in :meth:`add_le_rows`."""
+        self._add_rows(self._eq, rows, rhs)
 
-    def add_ge_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
-        """Add ``sum coeffs[i] * x_i >= rhs`` (stored negated)."""
-        self.add_le_constraint({i: -v for i, v in coeffs.items()}, -rhs)
-
-    def add_eq_constraint(self, coeffs: dict[int, float], rhs: float) -> None:
-        """Add ``sum coeffs[i] * x_i == rhs``."""
-        self._add_dict_row(self._eq, coeffs, rhs)
-
-    def add_dense_le_rows(self, rows: np.ndarray, rhs: np.ndarray) -> None:
-        """Add many dense ``<=`` rows at once (shape checks included)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    def _add_rows(self, target: _Rows, rows: "np.ndarray | sparse.spmatrix",
+                  rhs: float | Sequence[float] | np.ndarray) -> None:
+        if sparse.issparse(rows):
+            coo = rows.tocoo()
+            keep = coo.data != 0.0
+            r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
+        else:
+            # no COO detour: a dense block's triplets are allocated once
+            rows = np.atleast_2d(np.asarray(rows, dtype=float))
+            r, c = np.nonzero(rows)
+            v = rows[r, c]
         rhs = np.array(rhs, dtype=float, ndmin=1)
         if rows.shape[0] != rhs.shape[0]:
             raise ValueError("row/rhs count mismatch")
         if rows.shape[1] != self._num_vars:
             raise ValueError(
                 f"row width {rows.shape[1]} != variable count {self._num_vars}")
-        r_idx, c_idx = np.nonzero(rows)
-        self._le.append(r_idx, c_idx, rows[r_idx, c_idx], rhs)
-
-    def add_sparse_le_rows(self, rows: "sparse.spmatrix",
-                           rhs: np.ndarray) -> None:
-        """Add many ``<=`` rows given as a scipy sparse matrix.
-
-        Same contract as :meth:`add_dense_le_rows` without ever
-        materializing the dense row block — used by the zonal Stage 1
-        master LP, whose constraint rows are zone-local and would be
-        ~99% explicit zeros at 100x room sizes.
-        """
-        self._add_sparse_rows(self._le, rows, rhs)
-
-    def add_sparse_eq_rows(self, rows: "sparse.spmatrix",
-                           rhs: np.ndarray) -> None:
-        """Add many ``==`` rows given as a scipy sparse matrix.
-
-        The equality twin of :meth:`add_sparse_le_rows`; the triplets
-        keep the COO order of ``rows``, so a block assembled here equals
-        the same rows added one :meth:`add_eq_constraint` call at a time.
-        """
-        self._add_sparse_rows(self._eq, rows, rhs)
-
-    def _add_sparse_rows(self, target: _Rows, rows: "sparse.spmatrix",
-                         rhs: np.ndarray) -> None:
-        coo = sparse.coo_matrix(rows)
-        rhs = np.array(rhs, dtype=float, ndmin=1)
-        if coo.shape[0] != rhs.shape[0]:
-            raise ValueError("row/rhs count mismatch")
-        if coo.shape[1] != self._num_vars:
-            raise ValueError(
-                f"row width {coo.shape[1]} != variable count {self._num_vars}")
-        keep = coo.data != 0.0
-        target.append(coo.row[keep], coo.col[keep], coo.data[keep], rhs)
+        target.append(r, c, v, rhs)
 
     # ------------------------------------------------------------------
     def matrices(self) -> tuple["sparse.csr_matrix | None",
@@ -287,39 +230,8 @@ class LinearProgram:
                                   shape=(rows.n_rows, self._num_vars)),
                 b.copy())
 
-    def fingerprint(self) -> str:
-        """Exact structural hash of the assembled program.
-
-        Two programs share a fingerprint iff they have identical
-        objective sense, bounds, objective coefficients and constraint
-        triplets — i.e. iff :meth:`solve` is guaranteed to return
-        bit-identical solutions for both.  Cost is linear in the number
-        of nonzeros; hot paths that can derive a cheaper equivalent key
-        should do so and pass it to :meth:`solve` directly.
-        """
-        le_rows, le_cols, le_vals, b_ub = self._le.arrays()
-        eq_rows, eq_cols, eq_vals, b_eq = self._eq.arrays()
-        h = hashlib.sha256()
-        h.update(b"max" if self.maximize else b"min")
-        for part in (self._obj, self._lb, self._ub, b_ub, b_eq,
-                     le_vals, eq_vals):
-            h.update(np.asarray(part, dtype=float).tobytes())
-        for part in (le_rows, le_cols, eq_rows, eq_cols):
-            h.update(part.tobytes())
-        h.update(self._num_vars.to_bytes(8, "little"))
-        return h.hexdigest()
-
-    def solve(self, *, require_feasible: bool = True,
-              warm_start: LPWarmStart | None = None,
-              fingerprint: str | None = None) -> LPSolution:
+    def solve(self, *, require_feasible: bool = True) -> LPSolution:
         """Solve with HiGHS and return an :class:`LPSolution`.
-
-        When ``warm_start`` is given and its fingerprint equals
-        ``fingerprint`` (or, if ``fingerprint`` is None, this program's
-        :meth:`fingerprint`), the stored solution is replayed verbatim —
-        bit-identical to a cold solve of the same program — and the
-        solver is never invoked.  A fingerprint mismatch falls through
-        to a cold solve.
 
         Raises
         ------
@@ -328,13 +240,6 @@ class LinearProgram:
         """
         if self._num_vars == 0:
             raise ValueError(f"LP '{self.name}' has no variables")
-        if warm_start is not None:
-            key = fingerprint if fingerprint is not None \
-                else self.fingerprint()
-            if warm_start.fingerprint == key:
-                obs_metrics.counter(f"lp.warm_hits.{self.name}").inc()
-                return warm_start.solution
-            obs_metrics.counter(f"lp.warm_misses.{self.name}").inc()
         with obs_span("lp", lp=self.name, vars=self._num_vars,
                       constraints=self.num_constraints, nnz=self.nnz):
             return self._solve(require_feasible)

@@ -66,3 +66,19 @@ def baseline(scenario):
     sol, _ = solve_baseline(scenario.datacenter, scenario.workload,
                             scenario.p_const)
     return sol
+
+
+def dict_rows(rows, n_vars):
+    """``(coeffs, rhs)`` pairs, one ``{var: coeff}`` dict per row, as the
+    ``(csr, rhs)`` block :meth:`LinearProgram.add_le_rows` takes.
+
+    Explicit zero coefficients stay in the block; an empty dict is an
+    all-zero row.
+    """
+    from scipy import sparse
+
+    row = [r for r, (coeffs, _) in enumerate(rows) for _ in coeffs]
+    col = [v for coeffs, _ in rows for v in coeffs]
+    val = [float(c) for coeffs, _ in rows for c in coeffs.values()]
+    return (sparse.csr_matrix((val, (row, col)), shape=(len(rows), n_vars)),
+            np.array([float(rhs) for _, rhs in rows]))

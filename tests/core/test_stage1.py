@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.stage1 import (build_arr_functions, distribute_node_power,
                                solve_stage1, solve_stage1_fixed_temps)
 from repro.thermal.constraints import ThermalLinearization
@@ -85,6 +86,55 @@ class TestFixedTemps:
         # even base power overheats node inlets at 45 C outlets
         sol = solve_stage1_fixed_temps(dc, arrs, hot, scenario.p_const)
         assert sol is None
+
+
+class TestLPCache:
+    """``lp_cache``/``lp_key`` replay a probe's LP outcome."""
+
+    def _probe(self, scenario, arrs, lin, cache, key, p_const=None):
+        return solve_stage1_fixed_temps(
+            scenario.datacenter, arrs, lin,
+            scenario.p_const if p_const is None else p_const,
+            lp_cache=cache, lp_key=key)
+
+    def _counts(self, snap):
+        return {name: snap.get(f"{name}.stage1", {"value": 0})["value"]
+                for name in ("lp.solves", "lp.warm_hits")}
+
+    def test_replay_returns_stored_solution(self, scenario, arrs, lin):
+        cache = {}
+        first = self._probe(scenario, arrs, lin, cache, "k")
+        (stored,) = cache.values()
+        again = self._probe(scenario, arrs, lin, cache, "k")
+        assert again.core_power_kw.tobytes() == \
+            first.core_power_kw.tobytes()
+        assert again.objective == first.objective
+        assert cache == {"k": stored}
+
+    def test_new_key_solves_cold(self, scenario, arrs, lin):
+        cache = {}
+        self._probe(scenario, arrs, lin, cache, "k")
+        sol = self._probe(scenario, arrs, lin, cache, "other",
+                          p_const=0.9 * scenario.p_const)
+        assert sol.objective < cache["k"].objective
+        assert cache["other"] is not cache["k"]
+
+    def test_replay_counts_hit_not_solve(self, scenario, arrs, lin):
+        """A replayed probe bumps ``lp.warm_hits.stage1`` and never
+        ``lp.solves.stage1``: a replay is not a solve."""
+        cache = {}
+        obs.reset()
+        obs.enable()
+        try:
+            self._probe(scenario, arrs, lin, cache, "k")
+            cold = self._counts(obs.current_registry().snapshot())
+            self._probe(scenario, arrs, lin, cache, "k")
+            warm = self._counts(obs.current_registry().snapshot())
+        finally:
+            obs.disable()
+            obs.reset()
+        assert cold == {"lp.solves": 1, "lp.warm_hits": 0}
+        assert warm == {"lp.solves": 1, "lp.warm_hits": 1}
 
 
 class TestDistribution:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.stage3 import solve_stage3
 from repro.core.stage3_power import solve_stage3_power_aware
 from repro.optimize.linprog import InfeasibleError
 from repro.power.taskpower import TaskPowerModel, expected_node_power
@@ -101,3 +102,21 @@ class TestValidation:
             solve_stage3_power_aware(
                 scenario.datacenter, scenario.workload,
                 assignment.pstates, bad, lin, scenario.p_const)
+
+    @pytest.mark.parametrize("solver", ["classic", "power_aware"])
+    @pytest.mark.parametrize("pstate", ["-1", "eta"])
+    def test_out_of_range_pstate_rejected(self, scenario, assignment, lin,
+                                          heavy_model, solver, pstate):
+        """Both Stage 3 solvers reject P-states outside ``[0, eta)``;
+        a -1 must not wrap around into another class."""
+        dc, wl = scenario.datacenter, scenario.workload
+        ps = assignment.pstates.copy()
+        type1 = dc.core_type == 1
+        assert type1.any()
+        ps[type1] = -1 if pstate == "-1" else wl.n_pstates
+        with pytest.raises(ValueError, match="out of ECS range"):
+            if solver == "classic":
+                solve_stage3(dc, wl, ps)
+            else:
+                solve_stage3_power_aware(dc, wl, ps, heavy_model, lin,
+                                         scenario.p_const)

@@ -11,6 +11,7 @@ from repro.thermal.heatflow import HeatFlowModel
 from repro.thermal.interference import (attach_thermal_model,
                                         exit_coefficients, generate_alpha,
                                         recirculation_coefficients)
+from tests.conftest import dict_rows
 
 
 @pytest.fixture(scope="module")
@@ -110,26 +111,29 @@ class TestAttach:
 def _oracle_lp(dc, objective, ranges, m_split):
     n_crac, n = dc.n_crac, dc.n_units
     flows = dc.unit_flows
-    lp = LinearProgram(name="interference-oracle")
-    lp.add_variables(n * n, lb=0.0, ub=1.0, objective=objective)
-    for i in range(n):
-        lp.add_eq_constraint({i * n + j: 1.0 for j in range(n)}, 1.0)
-    for j in range(n):
-        lp.add_eq_constraint({i * n + j: float(flows[i]) for i in range(n)},
-                             float(flows[j]))
+    lb, ub = np.zeros(n * n), np.ones(n * n)
     for node in dc.nodes:
         r = ranges[node.label]
         u = n_crac + node.index
         for j in range(n_crac):
             frac = float(m_split[node.hot_aisle, j])
-            lp.set_bounds(u * n + j, r.ec_min * frac, r.ec_max * frac)
+            lb[u * n + j], ub[u * n + j] = r.ec_min * frac, r.ec_max * frac
+    lp = LinearProgram(name="interference-oracle")
+    lp.add_variables(n * n, lb=lb, ub=ub, objective=objective)
+    eq = [({i * n + j: 1.0 for j in range(n)}, 1.0) for i in range(n)]
+    eq += [({i * n + j: float(flows[i]) for i in range(n)}, float(flows[j]))
+           for j in range(n)]
+    lp.add_eq_rows(*dict_rows(eq, n * n))
+    le = []
     for node in dc.nodes:
         r = ranges[node.label]
         dest = n_crac + node.index
         coeffs = {(n_crac + i) * n + dest: float(flows[n_crac + i])
                   for i in range(dc.n_nodes)}
-        lp.add_le_constraint(dict(coeffs), r.rc_max * float(flows[dest]))
-        lp.add_ge_constraint(dict(coeffs), r.rc_min * float(flows[dest]))
+        le.append((coeffs, r.rc_max * float(flows[dest])))
+        le.append(({v: -c for v, c in coeffs.items()},
+                   -r.rc_min * float(flows[dest])))
+    lp.add_le_rows(*dict_rows(le, n * n))
     alpha = np.clip(lp.solve().x.reshape(n, n), 0.0, None)
     return alpha / alpha.sum(axis=1, keepdims=True)
 
