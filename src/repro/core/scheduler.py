@@ -165,10 +165,6 @@ class DynamicScheduler:
         self._core_dead[np.asarray(cores, dtype=int)] = False
         self._any_dead = bool(self._core_dead.any())
 
-    def core_dead(self, core: int) -> bool:
-        """True while ``core`` is marked dead."""
-        return bool(self._core_dead[core])
-
     def atc(self, elapsed: float) -> np.ndarray:
         """Actual execution-rate matrix after ``elapsed`` seconds."""
         if elapsed <= 0.0:

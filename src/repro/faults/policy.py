@@ -24,7 +24,7 @@ and inventory changes alike.  It drives one run over a
 * within each interval the second-step DES replays the interval's task
   slice against the degraded room; node crashes landing exactly at the
   interval's end are injected as
-  :class:`~repro.simulate.events.CoreOutage` events so tasks queued past
+  :class:`~repro.simulate.engine.CoreOutage` events so tasks queued past
   the boundary on dying cores are stranded and re-queued or dropped with
   explicit accounting;
 * room temperature state is carried across intervals as the end state
@@ -58,8 +58,7 @@ from repro.faults.inject import DegradedView, degraded_view
 from repro.faults.model import FaultKind, FaultSchedule
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
-from repro.simulate.engine import simulate_trace
-from repro.simulate.events import CoreOutage
+from repro.simulate.engine import CoreOutage, simulate_trace
 from repro.simulate.metrics import SimulationMetrics
 from repro.thermal.transient import simulate_transient
 from repro.workload.profiles import ArrivalProfile

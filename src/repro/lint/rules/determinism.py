@@ -259,8 +259,8 @@ class WallClock(RuleVisitor):
     description = (
         "time.time()/datetime.now() readings leak the host clock into "
         "solver/DES/cache paths; simulated time must come from the "
-        "event queue and cache keys from (config, seed).  Wall-clock "
-        "spans live in repro.obs, which is allowlisted "
+        "trace and fault instants, cache keys from (config, seed).  "
+        "Wall-clock spans live in repro.obs, which is allowlisted "
         "(time.perf_counter for *measured durations* is fine anywhere)")
 
     _FORBIDDEN = frozenset({

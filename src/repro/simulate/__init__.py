@@ -1,8 +1,7 @@
 """Discrete-event simulation of the second-step dynamic scheduling."""
 
 from repro.simulate.energy import EnergyReport, energy_report
-from repro.simulate.engine import simulate_trace
-from repro.simulate.events import CoreOutage, Event, EventKind, EventQueue
+from repro.simulate.engine import CoreOutage, simulate_trace
 from repro.simulate.metrics import SimulationMetrics
 
 __all__ = [
@@ -10,8 +9,5 @@ __all__ = [
     "energy_report",
     "simulate_trace",
     "CoreOutage",
-    "Event",
-    "EventKind",
-    "EventQueue",
     "SimulationMetrics",
 ]

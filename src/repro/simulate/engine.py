@@ -4,23 +4,32 @@ This is the paper's second-step evaluation: tasks arrive, the
 :class:`~repro.core.scheduler.DynamicScheduler` maps each to a core (or
 drops it), cores execute their queues FIFO, and reward is collected for
 every task finished by its deadline.  Because the scheduler only assigns
-tasks it can finish in time, assignment implies reward; completions are
-still simulated as events so busy time and queue depths are exact.
+tasks it can finish in time, an assignment is a completion unless a
+fault strands it.  Completions therefore carry no decision, and the
+replay is one pass over the trace in (stable) arrival order, merged with
+the few fault and recovery instants.
 
 Fault injection (chaos-testing extension): the replay optionally
-consumes :class:`~repro.simulate.events.CoreOutage` windows.  A FAULT
-event kills a set of cores — queued-but-unfinished work on them is
-*stranded*: its reward is never collected, its recorded busy time is
-rolled back to the crash instant, and each stranded task is either
-re-entered into the arrival stream at the crash time (``requeue``) or
-discarded (``drop``), with explicit per-type accounting either way.  A
-RECOVERY event readmits the cores with an empty queue.  With no outages
-the replay is bit-identical to the fault-free engine.
+consumes :class:`CoreOutage` windows.  A FAULT instant kills a set of
+cores — queued-but-unfinished work on them is *stranded*: its reward is
+never collected, its recorded busy time is rolled back to the crash
+instant, and each stranded task is either re-entered into the arrival
+stream at the crash time (``requeue``) or discarded (``drop``), with
+explicit per-type accounting either way.  A task finishing exactly at
+the crash instant has completed.  A RECOVERY instant readmits the cores
+with an empty queue.  At one instant, faults apply first (in outage-list
+order), then recoveries, then the trace's arrivals, then the tasks
+requeued at that instant: an arrival at a crash sees the core dead, and
+one at a recovery may use it.  With no outages the replay is
+bit-identical to the fault-free engine.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -29,15 +38,37 @@ from repro.core.scheduler import DynamicScheduler
 from repro.datacenter.builder import DataCenter
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
-from repro.simulate.events import CoreOutage, EventKind, EventQueue
 from repro.simulate.metrics import SimulationMetrics
 from repro.workload.tasktypes import Workload
 from repro.workload.trace import Task
 
-__all__ = ["simulate_trace"]
+__all__ = ["CoreOutage", "simulate_trace"]
 
 #: Allowed dispositions for tasks stranded by a core outage.
 STRANDED_POLICIES = ("requeue", "drop")
+
+
+@dataclass(frozen=True)
+class CoreOutage:
+    """A window during which a set of cores cannot execute tasks.
+
+    The DES-level shape of a node crash: the affected cores take no new
+    tasks on ``[start_s, end_s)`` and any queued work is stranded at
+    ``start_s``.  ``end_s = inf`` means no recovery within the run.
+    Windows may overlap (cores are dead while covered by at least one).
+    """
+
+    start_s: float
+    cores: tuple[int, ...]
+    end_s: float = math.inf
+
+    def __post_init__(self) -> None:
+        if not self.start_s >= 0.0:
+            raise ValueError(f"outage start must be >= 0, got {self.start_s}")
+        if not self.end_s > self.start_s:
+            raise ValueError("outage must end after it starts")
+        if not self.cores:
+            raise ValueError("outage needs at least one core")
 
 
 def simulate_trace(datacenter: DataCenter, workload: Workload,
@@ -55,19 +86,19 @@ def simulate_trace(datacenter: DataCenter, workload: Workload,
         Desired rates and P-states from a first-step assignment (either
         technique).
     trace:
-        Tasks sorted by arrival time (as produced by
-        :func:`repro.workload.trace.generate_trace`).
+        Tasks in arrival order (as produced by
+        :func:`repro.workload.trace.generate_trace`); an unsorted
+        trace replays as its stable-sorted copy.
     duration:
-        Horizon used for rate metrics; defaults to the last arrival (or
+        Horizon used for rate metrics; defaults to the latest arrival (or
         1s for an empty trace).  Completions beyond the horizon still
         execute — the horizon only normalizes rates.
     collect_latency:
         Record per-task response times (memory ~ one float per task);
         disable for very long runs that only need rates.
     faults:
-        Optional :class:`~repro.simulate.events.CoreOutage` windows to
-        inject.  ``None`` (or empty) reproduces the fault-free replay
-        bit-identically.
+        Optional :class:`CoreOutage` windows to inject.  ``None`` (or
+        empty) reproduces the fault-free replay bit-identically.
     stranded_policy:
         ``"requeue"`` re-enters tasks stranded by an outage into the
         arrival stream at the crash instant (original deadline — they
@@ -104,10 +135,18 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     if stranded_policy not in STRANDED_POLICIES:
         raise ValueError(f"stranded_policy must be one of "
                          f"{STRANDED_POLICIES}, got {stranded_policy!r}")
+    for task in trace:
+        if not task.arrival >= 0.0:
+            raise ValueError(
+                f"task arrival must be non-negative, got {task.arrival}")
+    tasks = sorted(trace, key=attrgetter("arrival"))
     if duration is None:
-        duration = trace[-1].arrival if trace else 1.0
+        duration = tasks[-1].arrival if tasks else 1.0
         duration = max(duration, 1e-9)
     scheduler = DynamicScheduler(datacenter, workload, tc, pstates)
+    select_core = scheduler.select_core
+    record_assignment = scheduler.record_assignment
+    exec_time = scheduler.exec_time
     n_cores = datacenter.n_cores
     t_count = workload.n_task_types
     core_free = np.zeros(n_cores)
@@ -115,110 +154,47 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     busy_by_type = np.zeros((t_count, n_cores))
     latencies: list[list[float]] | None = \
         [[] for _ in range(t_count)] if collect_latency else None
-    completed = np.zeros(t_count, dtype=int)
     dropped = np.zeros(t_count, dtype=int)
-    total_reward = 0.0
-
-    queue = EventQueue()
-    for task in trace:
-        queue.push(task.arrival, EventKind.ARRIVAL, task)
+    # one entry per assignment, in assignment order
+    finishes: list[float] = []
+    types: list[int] = []
 
     # fault-injection state -------------------------------------------
     have_faults = bool(faults)
     dead_count = np.zeros(n_cores, dtype=int)
-    # per-core queued work: rec_id -> (task, start, finish, latency slot)
-    inflight: list[dict[int, tuple[Task, float, float, int | None]]] = \
-        [{} for _ in range(n_cores)]
-    cancelled: set[int] = set()
+    # per-core FIFO of queued work: (finish, assignment, task, start,
+    # latency slot); finish times grow along each FIFO
+    queued: list[deque[tuple[float, int, Task, float, int | None]]] | None = \
+        [deque() for _ in range(n_cores)] if have_faults else None
+    stranded: list[int] = []
     lat_removals: list[set[int]] | None = \
         [set() for _ in range(t_count)] if collect_latency else None
     stranded_requeued = np.zeros(t_count, dtype=int)
     stranded_dropped = np.zeros(t_count, dtype=int)
-    n_fault_events = 0
-    next_rec = 0
-    if have_faults:
-        for outage in faults:
-            cores = np.asarray(outage.cores, dtype=int)
-            if np.any(cores < 0) or np.any(cores >= n_cores):
-                raise ValueError(
-                    f"outage cores must be in 0..{n_cores - 1}")
-            queue.push(outage.start_s, EventKind.FAULT, tuple(cores))
-            if math.isfinite(outage.end_s):
-                queue.push(outage.end_s, EventKind.RECOVERY, tuple(cores))
+    # (time, 0 = fault / 1 = recovery, outage index, cores), in the order
+    # the instants apply
+    instants: list[tuple[float, int, int, tuple[int, ...]]] = []
+    for k, outage in enumerate(faults or ()):
+        cores = np.asarray(outage.cores, dtype=int)
+        if np.any(cores < 0) or np.any(cores >= n_cores):
+            raise ValueError(f"outage cores must be in 0..{n_cores - 1}")
+        instants.append((float(outage.start_s), 0, k, tuple(cores)))
+        if math.isfinite(outage.end_s):
+            instants.append((float(outage.end_s), 1, k, tuple(cores)))
+    instants.sort(key=lambda instant: instant[:3])
 
     def clip(t: float) -> float:
         return min(t, duration)
 
-    prev_time = 0.0
-    while queue:
-        event = queue.pop()
-        if event.time < prev_time - 1e-9:
-            raise AssertionError("event times went backwards")
-        prev_time = event.time
-        if event.kind is EventKind.COMPLETION:
-            task_type, core, rec_id = event.payload
-            if rec_id in cancelled:
-                cancelled.discard(rec_id)
-                continue
-            del inflight[core][rec_id]
-            completed[task_type] += 1
-            total_reward += float(workload.rewards[task_type])
-            continue
-        if event.kind is EventKind.FAULT:
-            n_fault_events += 1
-            newly_dead: list[int] = []
-            for core in event.payload:
-                dead_count[core] += 1
-                if dead_count[core] == 1:
-                    newly_dead.append(core)
-            if newly_dead:
-                scheduler.mark_cores_dead(np.asarray(newly_dead))
-            now = event.time
-            for core in newly_dead:
-                for rec_id, (task, start, finish, slot) \
-                        in inflight[core].items():
-                    cancelled.add(rec_id)
-                    scheduler.forget_assignment(task.task_type, core)
-                    # roll back busy time the task will never execute:
-                    # it ran (at most) from its start until the crash
-                    lost = max(0.0, clip(finish) - clip(max(start, now)))
-                    busy[core] -= lost
-                    busy_by_type[task.task_type, core] -= lost
-                    if lat_removals is not None and slot is not None:
-                        lat_removals[task.task_type].add(slot)
-                    if stranded_policy == "requeue":
-                        stranded_requeued[task.task_type] += 1
-                        queue.push(now, EventKind.ARRIVAL,
-                                   Task(arrival=now,
-                                        task_type=task.task_type,
-                                        uid=task.uid,
-                                        deadline=task.deadline))
-                    else:
-                        stranded_dropped[task.task_type] += 1
-                inflight[core].clear()
-            continue
-        if event.kind is EventKind.RECOVERY:
-            n_fault_events += 1
-            newly_alive: list[int] = []
-            for core in event.payload:
-                dead_count[core] -= 1
-                if dead_count[core] == 0:
-                    newly_alive.append(core)
-            if newly_alive:
-                scheduler.mark_cores_alive(np.asarray(newly_alive))
-                # the queue was cleared at crash time; the core restarts idle
-                core_free[np.asarray(newly_alive)] = event.time
-            continue
-        task: Task = event.payload
-        core = scheduler.select_core(task.task_type, task.deadline,
-                                     task.arrival, core_free)
+    def arrive(task: Task) -> None:
+        task_type = task.task_type
+        core = select_core(task_type, task.deadline, task.arrival, core_free)
         if core is None:
-            dropped[task.task_type] += 1
-            continue
-        scheduler.record_assignment(task.task_type, core)
+            dropped[task_type] += 1
+            return
+        record_assignment(task_type, core)
         start = max(task.arrival, core_free[core])
-        exec_time = scheduler.exec_time[task.task_type, core]
-        finish = start + exec_time
+        finish = start + exec_time[task_type, core]
         if finish > task.deadline + 1e-9:
             raise AssertionError(
                 "scheduler assigned a task it cannot finish in time")
@@ -228,15 +204,109 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
         # types may legally finish after the last arrival)
         clipped = max(0.0, clip(finish) - clip(start))
         busy[core] += clipped
-        busy_by_type[task.task_type, core] += clipped
+        busy_by_type[task_type, core] += clipped
         slot = None
         if latencies is not None:
-            slot = len(latencies[task.task_type])
-            latencies[task.task_type].append(finish - task.arrival)
-        queue.push(finish, EventKind.COMPLETION,
-                   (task.task_type, core, next_rec))
-        inflight[core][next_rec] = (task, start, finish, slot)
-        next_rec += 1
+            slot = len(latencies[task_type])
+            latencies[task_type].append(finish - task.arrival)
+        if queued is not None:
+            queued[core].append((finish, len(finishes), task, start, slot))
+        finishes.append(finish)
+        types.append(task_type)
+
+    requeued: list[Task] = []
+
+    def crash(now: float, cores: tuple[int, ...]) -> None:
+        newly_dead: list[int] = []
+        for core in cores:
+            dead_count[core] += 1
+            if dead_count[core] == 1:
+                newly_dead.append(core)
+        if newly_dead:
+            scheduler.mark_cores_dead(np.asarray(newly_dead))
+        for core in newly_dead:
+            fifo = queued[core]
+            while fifo and fifo[0][0] <= now:   # finished by the crash
+                fifo.popleft()
+            for finish, rec, task, start, slot in fifo:
+                stranded.append(rec)
+                scheduler.forget_assignment(task.task_type, core)
+                # roll back busy time the task will never execute:
+                # it ran (at most) from its start until the crash
+                lost = max(0.0, clip(finish) - clip(max(start, now)))
+                busy[core] -= lost
+                busy_by_type[task.task_type, core] -= lost
+                if lat_removals is not None and slot is not None:
+                    lat_removals[task.task_type].add(slot)
+                if stranded_policy == "requeue":
+                    stranded_requeued[task.task_type] += 1
+                    requeued.append(Task(arrival=now,
+                                         task_type=task.task_type,
+                                         uid=task.uid,
+                                         deadline=task.deadline))
+                else:
+                    stranded_dropped[task.task_type] += 1
+            fifo.clear()
+
+    def recover(now: float, cores: tuple[int, ...]) -> None:
+        newly_alive: list[int] = []
+        for core in cores:
+            dead_count[core] -= 1
+            if dead_count[core] == 0:
+                newly_alive.append(core)
+        if newly_alive:
+            scheduler.mark_cores_alive(np.asarray(newly_alive))
+            # the queue was cleared at crash time; the core restarts idle
+            core_free[np.asarray(newly_alive)] = now
+
+    n_done = 0   # instants applied so far
+    requeue_t = 0.0
+
+    def advance(t: float) -> float:
+        """Apply every instant due before a trace arrival at ``t``.
+
+        Returns the earliest arrival time that needs the next call.
+        """
+        nonlocal n_done, requeue_t
+        while True:
+            pending = n_done < len(instants)
+            next_t = instants[n_done][0] if pending else math.inf
+            if requeued and requeue_t < min(t, next_t):
+                # nothing else happens at the requeue instant
+                for task in requeued:
+                    arrive(task)
+                requeued.clear()
+            elif pending and next_t <= t:
+                now, is_recovery, _, cores = instants[n_done]
+                n_done += 1
+                if is_recovery:
+                    recover(now, cores)
+                else:
+                    crash(now, cores)
+                    if requeued:
+                        requeue_t = now
+            else:
+                return requeue_t if requeued else next_t
+
+    barrier = instants[0][0] if instants else math.inf
+    for task in tasks:
+        if task.arrival >= barrier:
+            barrier = advance(task.arrival)
+        arrive(task)
+    advance(math.inf)
+
+    type_idx = np.asarray(types, dtype=int)
+    done = np.ones(type_idx.size, dtype=bool)
+    done[stranded] = False
+    completed = np.bincount(type_idx[done], minlength=t_count)
+    # add rewards in (finish, assignment) order, one at a time, so the
+    # float total does not depend on how the sum is vectorised
+    order = np.argsort(np.asarray(finishes, dtype=float), kind="stable")
+    order = order[done[order]]
+    rewards = np.asarray(workload.rewards, dtype=float)[type_idx[order]]
+    total_reward = 0.0
+    for reward in rewards.tolist():
+        total_reward += reward
 
     response_times = None
     if latencies is not None:
@@ -259,5 +329,5 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
         response_times=response_times,
         stranded_requeued=stranded_requeued if have_faults else None,
         stranded_dropped=stranded_dropped if have_faults else None,
-        n_fault_events=n_fault_events,
+        n_fault_events=len(instants),
     )

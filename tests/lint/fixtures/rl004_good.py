@@ -1,4 +1,4 @@
-"""RL004 good: simulated time from the event queue, durations from
+"""RL004 good: simulated time from the trace, durations from
 perf_counter (monotonic, never serialized as an absolute instant)."""
 
 import time

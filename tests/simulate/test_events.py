@@ -1,10 +1,13 @@
-"""Tests for repro.simulate.events — the event-queue kernel."""
+"""Tests for the event-heap kernel of the DES oracle.
 
-import math
+``tests/simulate/heap_oracle.py`` keeps the heap replay that
+``simulate_trace`` is checked against; its same-instant ordering is the
+rule the one-pass engine reproduces, so the kernel stays pinned here.
+"""
 
 import pytest
 
-from repro.simulate.events import CoreOutage, Event, EventKind, EventQueue
+from tests.simulate.heap_oracle import EventKind, EventQueue
 
 
 class TestOrdering:
@@ -54,21 +57,6 @@ class TestOrdering:
                 [k.name for k in kinds]
 
 
-class TestCoreOutage:
-    def test_fields_and_defaults(self):
-        outage = CoreOutage(start_s=3.0, cores=(0, 2))
-        assert math.isinf(outage.end_s)
-        assert outage.cores == (0, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CoreOutage(start_s=-1.0, cores=(0,))
-        with pytest.raises(ValueError):
-            CoreOutage(start_s=0.0, cores=())
-        with pytest.raises(ValueError):
-            CoreOutage(start_s=5.0, cores=(0,), end_s=5.0)
-
-
 class TestQueueBehavior:
     def test_len_and_bool(self):
         q = EventQueue()
@@ -90,14 +78,6 @@ class TestQueueBehavior:
     def test_empty_peek_raises(self):
         with pytest.raises(IndexError):
             EventQueue().peek_time()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            EventQueue().push(-1.0, EventKind.ARRIVAL)
-
-    def test_nan_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(float("nan"), EventKind.ARRIVAL)
 
     def test_payload_not_compared(self):
         """Events with uncomparable payloads still order fine."""
