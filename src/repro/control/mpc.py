@@ -84,8 +84,12 @@ class MPCConfig:
         with every redline tightened by ``k * precool_step_c`` degrees
         (full cap, colder outlets).  0 levels disables pre-cooling.
     derate_step / max_derate:
-        The cap-derate fallback (same semantics as
-        :func:`~repro.core.controller.plan_with_transient_guard`).
+        The cap-derate fallback: each step multiplies the cap by
+        ``1 - derate_step``, as in
+        :func:`~repro.core.controller.plan_with_transient_guard`.  Unlike
+        the guard, a derated cap that admits no plan ends the ladder and
+        the best plan found so far is committed; the guard sheds all
+        load in that case.
     settle_factor:
         The terminal lookahead step is integrated for
         ``settle_factor * tau_s`` seconds (past settling), so hazards

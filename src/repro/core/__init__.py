@@ -3,8 +3,7 @@ P-state assignment (three-stage first step + dynamic second step) and
 the P0-or-off baseline it is compared against."""
 
 from repro.core.api import (BestPsiOutcome, SolveOptions, SolveOutcome,
-                            SolveRequest, SolveResult, SolveState,
-                            available_methods, solve)
+                            SolveRequest, SolveResult, SolveState, solve)
 from repro.core.arr import (AggregateRewardRate, aggregate_reward_rate,
                             select_best_task_types)
 from repro.core.assignment import (AssignmentResult, best_psi_assignment,
@@ -37,7 +36,6 @@ __all__ = [
     "SolveRequest",
     "SolveResult",
     "SolveState",
-    "available_methods",
     "solve",
     "AggregateRewardRate",
     "aggregate_reward_rate",

@@ -67,7 +67,7 @@ if TYPE_CHECKING:
     from repro.core.assignment import AssignmentResult
 
 __all__ = ["SolveOptions", "SolveRequest", "SolveOutcome", "SolveResult",
-           "SolveState", "BestPsiOutcome", "solve", "available_methods"]
+           "SolveState", "BestPsiOutcome", "solve"]
 
 
 @runtime_checkable
@@ -376,11 +376,6 @@ register_solver("three_stage", _solve_three_stage, replace=True)
 register_solver("best_psi", _solve_best_psi, replace=True)
 register_solver("baseline", _solve_baseline, replace=True)
 register_solver("exact", _solve_exact, replace=True)
-
-
-def available_methods() -> tuple[str, ...]:
-    """Names accepted by :func:`solve` (every registered backend)."""
-    return list_solvers()
 
 
 def solve(request: SolveRequest, *, method: str | None = None

@@ -6,13 +6,18 @@ current arrival rates.  Real load drifts, so a deployed system re-runs
 the first step periodically;
 :class:`repro.faults.policy.FaultAwareController` is that loop.  This
 module holds what the loop, the MPC planner, the serve service and the
-solver tournament share:
+solver tournament and the RL environment share:
 
-* :func:`plan_with_transient_guard` — before committing a new plan,
-  simulate the **thermal transient** from the previous operating point
-  (:mod:`repro.thermal.transient`): a plan whose steady state is
-  feasible can still overshoot a redline mid-transition, in which case
-  the power cap is derated until the transition is safe;
+* :func:`plan_with_transient_guard` — the guarded replan.  Before
+  committing a new plan, simulate the **thermal transient** from the
+  previous operating point (:mod:`repro.thermal.transient`): a plan
+  whose steady state is feasible can still overshoot a redline
+  mid-transition, in which case the power cap is derated until the
+  transition is safe.  A cold start commits the plain plan, and a room
+  that admits no plan sheds all load;
+* :func:`run_epoch` — the epoch step: carry the room through one epoch
+  of a committed plan (transient or cold-start settle) and replay the
+  epoch's task slice through the second-step DES;
 * :func:`idle_start_t_out` — the idle room, the start state when the
   first plan's own transition is measured;
 * :func:`shed_plan` — the all-off fallback when no plan is feasible.
@@ -30,11 +35,14 @@ from repro.datacenter.builder import DataCenter
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
+from repro.simulate.engine import CoreOutage, simulate_trace
+from repro.simulate.metrics import SimulationMetrics
 from repro.thermal.transient import simulate_transient
 from repro.workload.tasktypes import Workload
+from repro.workload.trace import Task
 
 __all__ = ["ShedPlan", "shed_plan", "idle_start_t_out",
-           "plan_with_transient_guard"]
+           "plan_with_transient_guard", "EpochOutcome", "run_epoch"]
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,8 @@ def idle_start_t_out(datacenter: DataCenter) -> np.ndarray:
 
 
 def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
-                              p_const: float, t_out_prev: np.ndarray, *,
+                              p_const: float,
+                              t_out_prev: np.ndarray | None, *,
                               psi: float = 50.0, tau_s: float = 120.0,
                               transient_horizon_s: float | None = None,
                               derate_step: float = 0.05,
@@ -89,10 +98,11 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
                               on_exhausted: str = "raise",
                               warm_start: SolveState | None = None,
                               warm_seed: bool = False
-                              ) -> tuple[SolveResult, int, float]:
+                              ) -> tuple[SolveResult | ShedPlan, int,
+                                         float | None]:
     """Solve a first-step plan whose *transition* is transient-safe.
 
-    The derate loop of the control loop's interval arm and the serve
+    The guarded replan of the control loop's interval arm and the serve
     service: solve the three-stage assignment, simulate the
     thermal transient from ``t_out_prev`` into the new operating point,
     and shrink the power cap by ``derate_step`` until no inlet
@@ -103,17 +113,22 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
     t_out_prev:
         Outlet temperatures of the *previous* operating point (the
         state the room transitions from), one per unit of
-        ``datacenter``.
+        ``datacenter``; ``None`` on a cold start, which has nothing to
+        transition from and commits one plain solve, outside the
+        ``transient_guard`` span.
     transient_horizon_s:
         How far to integrate the transient; defaults to ``10 * tau_s``
         (well past settling).
     on_exhausted:
         ``"raise"`` — give up loudly after ``max_derate`` steps
-        (committing an unsafe transition is a bug).  ``"best"`` — return
-        the least-overshooting plan found; chaos runs use this because
-        after a severe fault *no* admissible plan may transition cleanly,
-        and the experiment wants to measure the residual exposure rather
-        than abort.
+        (committing an unsafe transition is a bug), and let an
+        infeasible solve's ``RuntimeError`` through.  ``"best"`` —
+        return the least-overshooting plan found; chaos runs use this
+        because after a severe fault *no* admissible plan may transition
+        cleanly, and the experiment wants to measure the residual
+        exposure rather than abort.  When a solve is infeasible (the
+        cold start, or any derated re-solve) it returns the all-off
+        :func:`shed_plan` instead.
     warm_start / warm_seed:
         Previous solve state to warm the (re-)solves from, and whether
         the heuristic seeded search may engage after a cap change (see
@@ -125,9 +140,9 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
     -------
     (plan, derated, overshoot_c):
         The committed plan (a :class:`repro.core.api.SolveResult`, whose
-        ``.state`` warm-starts the next replan), how many derating steps
-        it took, and the worst remaining redline overshoot (<= 0 when
-        safe).
+        ``.state`` warm-starts the next replan, or a :class:`ShedPlan`),
+        how many derating steps it took, and the worst remaining redline
+        overshoot (<= 0 when safe; ``None`` for a cold start or a shed).
     """
     if on_exhausted not in ("raise", "best"):
         raise ValueError(f"on_exhausted must be 'raise' or 'best', got "
@@ -140,29 +155,108 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
     overshoot = np.inf
     state = warm_start
     options = SolveOptions(psi=psi, warm_seed=warm_seed)
-    with obs_span("transient_guard", p_const=p_const):
-        for derated in range(max_derate + 1):
-            plan = solve(SolveRequest(datacenter, workload, cap,
-                                      options=options, warm_start=state))
-            state = plan.state
-            node_power = datacenter.node_power_kw(plan.pstates)
-            with obs_span("transient"):
-                result = simulate_transient(model, plan.t_crac_out,
-                                            node_power, t_out_prev,
-                                            duration_s=horizon, tau_s=tau_s)
-            overshoot = result.max_inlet_overshoot(datacenter.redline_c)
-            if overshoot <= 1e-6:
-                obs_annotate(derated=derated)
-                obs_metrics.counter("controller.derates").inc(derated)
-                return plan, derated, overshoot
-            if best is None or overshoot < best[2]:
-                best = (plan, derated, overshoot)
-            cap *= 1.0 - derate_step
-        obs_annotate(derated=best[1], exhausted=True)
-        obs_metrics.counter("controller.derates").inc(max_derate)
-        obs_metrics.counter("controller.derate_exhausted").inc()
-    if on_exhausted == "best":
-        return best
-    raise RuntimeError(
-        f"transition still overshoots redlines by {overshoot:.2f} C "
-        f"after {max_derate} derating steps")
+    try:
+        if t_out_prev is None:
+            return solve(SolveRequest(datacenter, workload, cap,
+                                      options=options,
+                                      warm_start=state)), 0, None
+        with obs_span("transient_guard", p_const=p_const):
+            for derated in range(max_derate + 1):
+                plan = solve(SolveRequest(datacenter, workload, cap,
+                                          options=options,
+                                          warm_start=state))
+                state = plan.state
+                node_power = datacenter.node_power_kw(plan.pstates)
+                with obs_span("transient"):
+                    result = simulate_transient(
+                        model, plan.t_crac_out, node_power, t_out_prev,
+                        duration_s=horizon, tau_s=tau_s)
+                overshoot = result.max_inlet_overshoot(datacenter.redline_c)
+                if overshoot <= 1e-6:
+                    obs_annotate(derated=derated)
+                    obs_metrics.counter("controller.derates").inc(derated)
+                    return plan, derated, overshoot
+                if best is None or overshoot < best[2]:
+                    best = (plan, derated, overshoot)
+                cap *= 1.0 - derate_step
+            obs_annotate(derated=best[1], exhausted=True)
+            obs_metrics.counter("controller.derates").inc(max_derate)
+            obs_metrics.counter("controller.derate_exhausted").inc()
+        if on_exhausted == "best":
+            return best
+        raise RuntimeError(
+            f"transition still overshoots redlines by {overshoot:.2f} C "
+            f"after {max_derate} derating steps")
+    except RuntimeError:
+        # no plan at all (an infeasible solve, cold or derated): shed
+        # all load unless the caller wants the error
+        if on_exhausted == "raise":
+            raise
+        return shed_plan(datacenter, workload.n_task_types), 0, None
+
+
+@dataclass(frozen=True)
+class EpochOutcome:
+    """What one epoch of a committed plan did.
+
+    Attributes
+    ----------
+    metrics:
+        Second-step DES metrics of the epoch's task slice.
+    overshoot_c / violation_minutes:
+        Worst redline overshoot the room reached over the epoch, and the
+        simulated minutes spent above any redline (``None`` / 0.0 for a
+        cold start, which settles without a transition).
+    t_out:
+        The room's outlet temperatures at the epoch's end, the state
+        the next epoch transitions from.
+    """
+
+    metrics: SimulationMetrics
+    overshoot_c: float | None
+    violation_minutes: float
+    t_out: np.ndarray
+
+
+def run_epoch(datacenter: DataCenter, workload: Workload, plan,
+              t_out_prev: np.ndarray | None, tasks: list[Task],
+              start_s: float, end_s: float, *, tau_s: float,
+              outages: list[CoreOutage] | None = None,
+              stranded: str = "requeue") -> EpochOutcome:
+    """The epoch step: carry the room through ``[start_s, end_s)``.
+
+    ``plan`` is the committed plan (anything with ``t_crac_out``,
+    ``pstates`` and ``tc``, so a :class:`ShedPlan` works too).  The room
+    transitions from ``t_out_prev`` into the plan's operating point over
+    the epoch (:func:`~repro.thermal.transient.simulate_transient`); a
+    cold start (``None``) settles at the plan's steady state before
+    tasks arrive.  ``tasks`` is the trace's slice arriving in the
+    epoch, in run time; it is replayed in epoch-local time through the
+    DES, with ``outages`` (epoch-local) stranding tasks on crashed
+    cores per ``stranded``.
+    """
+    model = datacenter.require_thermal()
+    node_power = datacenter.node_power_kw(plan.pstates)
+    if t_out_prev is None:
+        overshoot, violation_min = None, 0.0
+        t_out = model.steady_state(plan.t_crac_out, node_power).t_out
+    else:
+        dt = min(1.0, tau_s / 4.0)
+        with obs_span("transient"):
+            transient = simulate_transient(
+                model, plan.t_crac_out, node_power, t_out_prev,
+                duration_s=max(end_s - start_s, dt), tau_s=tau_s, dt_s=dt)
+        redline = datacenter.redline_c
+        overshoot = float(transient.max_inlet_overshoot(redline))
+        violation_min = transient.violation_minutes(redline)
+        t_out = transient.t_out[-1]
+    if start_s != 0.0:
+        tasks = [Task(arrival=t.arrival - start_s, task_type=t.task_type,
+                      uid=t.uid, deadline=t.deadline - start_s)
+                 for t in tasks]
+    metrics = simulate_trace(datacenter, workload, plan.tc, plan.pstates,
+                             tasks, duration=end_s - start_s,
+                             faults=outages or None,
+                             stranded_policy=stranded)
+    return EpochOutcome(metrics=metrics, overshoot_c=overshoot,
+                        violation_minutes=violation_min, t_out=t_out)

@@ -13,15 +13,16 @@ and inventory changes alike.  It drives one run over a
 * at each boundary the controller re-solves the three-stage assignment
   on the degraded view (:mod:`repro.faults.inject`) under the
   possibly-reduced power cap, for the arrival rates the drifting profile
-  gives at that instant.  The ``"interval"`` arm runs the
-  transient-guarded derate loop
-  (:func:`repro.core.controller.plan_with_transient_guard`); the
+  gives at that instant.  The ``"interval"`` arm runs the guarded
+  replan (:func:`repro.core.controller.plan_with_transient_guard`); the
   ``"mpc"`` arm runs the receding-horizon planner
   (:class:`repro.control.mpc.MPCPlanner`).  After a severe fault no
   admissible plan may transition cleanly, so chaos runs keep the
   least-overshooting plan and *measure* the residual exposure
   (redline-violation minutes) instead of aborting;
-* within each interval the second-step DES replays the interval's task
+* within each interval the epoch step
+  (:func:`repro.core.controller.run_epoch`) carries the room through
+  the interval and the second-step DES replays the interval's task
   slice against the degraded room; node crashes landing exactly at the
   interval's end are injected as
   :class:`~repro.simulate.engine.CoreOutage` events so tasks queued past
@@ -50,17 +51,17 @@ import numpy as np
 from repro.control.forecast import (FORECAST_KINDS, PersistenceForecast,
                                     make_forecast)
 from repro.control.mpc import MPCConfig, MPCPlanner
-from repro.core.api import SolveOptions, SolveRequest, solve
-from repro.core.controller import plan_with_transient_guard, shed_plan
-from repro.core.warmstart import SolveState, WarmPool, compute_digests
+from repro.core.api import SolveOptions
+from repro.core.controller import (ShedPlan, plan_with_transient_guard,
+                                   run_epoch)
+from repro.core.warmstart import WarmPool, compute_digests
 from repro.datacenter.builder import DataCenter
 from repro.faults.inject import DegradedView, degraded_view
 from repro.faults.model import FaultKind, FaultSchedule
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
-from repro.simulate.engine import CoreOutage, simulate_trace
+from repro.simulate.engine import CoreOutage
 from repro.simulate.metrics import SimulationMetrics
-from repro.thermal.transient import simulate_transient
 from repro.workload.profiles import ArrivalProfile
 from repro.workload.tasktypes import Workload
 from repro.workload.trace import Task
@@ -447,49 +448,6 @@ class FaultAwareController:
         return ChaosRunResult(horizon_s=float(horizon_s), schedule=schedule,
                               intervals=intervals)
 
-    def _replan_interval(self, view: DegradedView, wl_iv: Workload,
-                         cap: float, t_out_full: np.ndarray | None):
-        """The reactive interval replan: guard, derate, shed fallback."""
-        pol = self.policy
-        options = SolveOptions(psi=pol.psi, warm_seed=pol.warm == "seed")
-        warm_key: str | None = None
-        warm_state: SolveState | None = None
-        if pol.warm != "off":
-            warm_key = compute_digests(view.datacenter, wl_iv,
-                                       cap, options).structure
-            warm_state = self._warm.get(warm_key)
-        try:
-            with obs_span("replan", cold_start=t_out_full is None):
-                if t_out_full is None:
-                    # cold start: no previous operating point to transition
-                    # from; commit the plain plan (matches `repro simulate`)
-                    plan = solve(SolveRequest(
-                        view.datacenter, wl_iv, cap,
-                        options=options, warm_start=warm_state))
-                    derated, overshoot = 0, None
-                else:
-                    t_prev = view.reduce_t_out(t_out_full)
-                    plan, derated, overshoot = plan_with_transient_guard(
-                        view.datacenter, wl_iv, cap, t_prev,
-                        psi=pol.psi, tau_s=pol.tau_s,
-                        derate_step=pol.derate_step,
-                        max_derate=pol.max_derate,
-                        on_exhausted=pol.on_derate_exhausted,
-                        warm_start=warm_state,
-                        warm_seed=pol.warm == "seed")
-            if warm_key is not None:
-                self._warm.put(warm_key, plan.state)
-        except RuntimeError:
-            # even the (derated) first step is infeasible under this
-            # inventory — shed all load rather than abort the run; in
-            # strict mode the caller wants the error instead
-            if pol.on_derate_exhausted == "raise":
-                raise
-            plan = shed_plan(view.datacenter, wl_iv.n_task_types)
-            obs_metrics.counter("chaos.shed_events").inc()
-            return plan, 0, None, True
-        return plan, derated, overshoot, False
-
     def _run_interval(self, a: float, b: float, horizon_s: float,
                       cause: str, state, view: DegradedView, cap: float,
                       trace: list[Task], cursor: int,
@@ -498,22 +456,21 @@ class FaultAwareController:
                       profile: ArrivalProfile | None = None,
                       provider=None
                       ) -> tuple[IntervalRecord, np.ndarray, int]:
-        """One constant-inventory interval: replan, propagate, replay."""
+        """One constant-inventory interval: replan, then the epoch step."""
         pol = self.policy
         t0 = time.perf_counter()
-        shed = False
         precooled = 0
         wl_iv = view.workload
         if profile is not None:
             wl_iv = replace(view.workload, arrival_rates=np.asarray(
                 profile.rates(a), dtype=float))
+        t_prev = (None if t_out_full is None
+                  else view.reduce_t_out(t_out_full))
         if pol.controller == "mpc":
             cfg = self._mpc.config
             forecast_rates = provider.rates_ahead(
                 a, wl_iv.arrival_rates, cfg.horizon_steps, cfg.step_s)
-            t_prev = (None if t_out_full is None
-                      else view.reduce_t_out(t_out_full))
-            with obs_span("replan", cold_start=t_out_full is None):
+            with obs_span("replan", cold_start=t_prev is None):
                 decision = self._mpc.plan(view.datacenter, wl_iv, cap,
                                           t_prev, forecast_rates,
                                           first_step_s=b - a)
@@ -521,49 +478,35 @@ class FaultAwareController:
             derated = decision.derated
             precooled = decision.precooled
             predicted = decision.predicted_overshoot_c
-            shed = decision.shed
-            warm_level = decision.warm_level
-            if shed:
-                obs_metrics.counter("chaos.shed_events").inc()
         else:
-            plan, derated, predicted, shed = self._replan_interval(
-                view, wl_iv, cap, t_out_full)
-            warm_level = "shed" if shed else plan.warm_level
+            # warm chains keyed by the inventory's structure digest
+            warm_key = None if pol.warm == "off" else compute_digests(
+                view.datacenter, wl_iv, cap,
+                SolveOptions(psi=pol.psi, warm_seed=pol.warm == "seed")
+            ).structure
+            with obs_span("replan", cold_start=t_prev is None):
+                plan, derated, predicted = plan_with_transient_guard(
+                    view.datacenter, wl_iv, cap, t_prev,
+                    psi=pol.psi, tau_s=pol.tau_s,
+                    derate_step=pol.derate_step,
+                    max_derate=pol.max_derate,
+                    on_exhausted=pol.on_derate_exhausted,
+                    warm_start=(None if warm_key is None
+                                else self._warm.get(warm_key)),
+                    warm_seed=pol.warm == "seed")
+            if warm_key is not None and not isinstance(plan, ShedPlan):
+                self._warm.put(warm_key, plan.state)
+        shed = isinstance(plan, ShedPlan)
+        warm_level = "shed" if shed else plan.warm_level
+        if shed:
+            obs_metrics.counter("chaos.shed_events").inc()
         replan_wall = time.perf_counter() - t0
         if cause != "start":
             obs_metrics.counter("chaos.replans").inc()
 
-        # thermal state propagation over the interval (and the
-        # violation-minutes exposure of the transition into it)
-        model = view.datacenter.require_thermal()
-        node_power = view.datacenter.node_power_kw(plan.pstates)
-        if t_out_full is None:
-            # convention: the cold room settles at the plan's
-            # operating point before tasks arrive (no transition)
-            overshoot, violation_min = None, 0.0
-            end_t_out = model.steady_state(plan.t_crac_out,
-                                           node_power).t_out
-        else:
-            dt = min(1.0, pol.tau_s / 4.0)
-            with obs_span("transient"):
-                transient = simulate_transient(
-                    model, plan.t_crac_out, node_power,
-                    view.reduce_t_out(t_out_full),
-                    duration_s=max(b - a, dt), tau_s=pol.tau_s, dt_s=dt)
-            redline = view.datacenter.redline_c
-            overshoot = float(transient.max_inlet_overshoot(redline))
-            violation_min = transient.violation_minutes(redline)
-            end_t_out = transient.t_out[-1]
-        t_out_full = view.expand_t_out(end_t_out)
-
-        # the interval's task slice, re-based to interval-local time
-        chunk: list[Task] = []
+        # the interval's task slice
+        first = cursor
         while cursor < len(trace) and trace[cursor].arrival < b:
-            t = trace[cursor]
-            chunk.append(t if a == 0.0 else
-                         Task(arrival=t.arrival - a,
-                              task_type=t.task_type, uid=t.uid,
-                              deadline=t.deadline - a))
             cursor += 1
 
         # nodes dying exactly at the right boundary strand their queues
@@ -578,11 +521,9 @@ class FaultAwareController:
                 outages.append(CoreOutage(
                     start_s=b - a,
                     cores=tuple(node.core_indices)))
-        metrics = simulate_trace(
-            view.datacenter, wl_iv, plan.tc, plan.pstates,
-            chunk, duration=b - a,
-            faults=outages if outages else None,
-            stranded_policy=pol.stranded)
+        epoch = run_epoch(view.datacenter, wl_iv, plan, t_prev,
+                          trace[first:cursor], a, b, tau_s=pol.tau_s,
+                          outages=outages, stranded=pol.stranded)
         record = IntervalRecord(
             start_s=a, end_s=b, cause=cause,
             n_nodes_alive=view.datacenter.n_nodes,
@@ -592,11 +533,11 @@ class FaultAwareController:
             t_crac_out_c=[float(t) for t in plan.t_crac_out],
             derated=derated,
             predicted_overshoot_c=predicted,
-            transient_overshoot_c=overshoot,
-            violation_minutes=violation_min,
+            transient_overshoot_c=epoch.overshoot_c,
+            violation_minutes=epoch.violation_minutes,
             warm_level=warm_level,
             replan_wall_s=replan_wall,
-            metrics=metrics,
+            metrics=epoch.metrics,
             shed=shed,
             precooled=precooled)
-        return record, t_out_full, cursor
+        return record, view.expand_t_out(epoch.t_out), cursor

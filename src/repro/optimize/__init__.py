@@ -8,7 +8,7 @@ centers.
 from repro.optimize.linprog import InfeasibleError, LinearProgram, LPSolution
 from repro.optimize.piecewise import PiecewiseLinear, Segment, concave_majorant_points
 from repro.optimize.search import (SearchResult, coarse_to_fine_search,
-                                   golden_refine, temperature_grid,
+                                   temperature_grid,
                                    uniform_then_coordinate_search)
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "concave_majorant_points",
     "SearchResult",
     "coarse_to_fine_search",
-    "golden_refine",
     "temperature_grid",
     "uniform_then_coordinate_search",
 ]

@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["SearchResult", "coarse_to_fine_search", "temperature_grid",
-           "uniform_then_coordinate_search", "seeded_coordinate_search",
-           "golden_refine"]
+           "uniform_then_coordinate_search", "seeded_coordinate_search"]
 
 #: Objective signature: maps an outlet-temperature vector to a scalar
 #: score, or ``None``/``-inf`` when the temperatures are infeasible.
@@ -289,35 +288,3 @@ def seeded_coordinate_search(objective: Objective,
     return SearchResult(temperatures=best_t, score=sign * best_score,
                         evaluations=evaluations)
 
-
-def golden_refine(objective: Callable[[float], float], low: float,
-                  high: float, *, tol: float = 1e-3,
-                  maximize: bool = True) -> tuple[float, float]:
-    """1-D golden-section refinement for a scalar temperature.
-
-    Used by the power-bounds solver to polish the common outlet
-    temperature after the discretized scan.  Assumes unimodality on the
-    bracket, which holds for the CRAC power curve (the CoP of Eq. 8 is
-    monotone increasing over the operating range while removed heat falls
-    linearly with outlet temperature).
-
-    Returns ``(t_best, f(t_best))`` in the caller's sense.
-    """
-    sign = 1.0 if maximize else -1.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(low), float(high)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = sign * objective(c)
-    fd = sign * objective(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * objective(d)
-    t_best = (a + b) / 2.0
-    return t_best, objective(t_best)

@@ -34,8 +34,7 @@ import numpy as np
 
 from repro.control.forecast import ForecastProvider
 from repro.control.mpc import MPCConfig, MPCPlanner
-from repro.core.api import SolveOptions, SolveRequest, solve
-from repro.core.controller import plan_with_transient_guard
+from repro.core.controller import ShedPlan, plan_with_transient_guard
 from repro.core.warmstart import SolveState
 from repro.datacenter.builder import DataCenter
 from repro.obs import metrics as obs_metrics
@@ -314,37 +313,22 @@ class ControlService:
         precooled = 0
         if cfg.controller == "mpc":
             decision = self._mpc_step(demand, wl)
-            if decision.shed:
-                return self._shed_all(demand)
             plan = decision.plan
             derated = decision.derated
             precooled = decision.precooled
-            warm_level = decision.warm_level
         else:
-            options = SolveOptions(psi=cfg.psi,
-                                   warm_seed=cfg.warm == "seed")
-            state = self._warm if cfg.warm != "off" else None
-            try:
-                if self._t_out is None:
-                    # first tick: no operating point to transition from
-                    plan = solve(SolveRequest(self.datacenter, wl,
-                                              self.p_const, options=options,
-                                              warm_start=state))
-                    derated = 0
-                else:
-                    plan, derated, _ = plan_with_transient_guard(
-                        self.datacenter, wl, self.p_const, self._t_out,
-                        psi=cfg.psi, tau_s=cfg.tau_s,
-                        derate_step=cfg.derate_step,
-                        max_derate=cfg.max_derate, on_exhausted="best",
-                        warm_start=state, warm_seed=cfg.warm == "seed")
-            except RuntimeError:
-                # the room admits no plan at these rates — shed
-                # everything this tick and keep the service alive
-                return self._shed_all(demand)
-            if cfg.warm != "off":
+            plan, derated, _ = plan_with_transient_guard(
+                self.datacenter, wl, self.p_const, self._t_out,
+                psi=cfg.psi, tau_s=cfg.tau_s, derate_step=cfg.derate_step,
+                max_derate=cfg.max_derate, on_exhausted="best",
+                warm_start=self._warm, warm_seed=cfg.warm == "seed")
+            if cfg.warm != "off" and not isinstance(plan, ShedPlan):
                 self._warm = plan.state
-            warm_level = plan.warm_level
+        if isinstance(plan, ShedPlan):
+            # the room admits no plan at these rates — shed everything
+            # this tick and keep the service alive
+            return self._shed_all(demand)
+        warm_level = plan.warm_level
 
         # propagate the room's operating point for the next transition
         model = self.datacenter.require_thermal()

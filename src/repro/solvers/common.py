@@ -127,15 +127,18 @@ class CandidateEvaluator:
     def _cap_limit(self) -> float:
         return self.p_const + self.tol * max(1.0, self.p_const)
 
-    def is_feasible(self, cand: Candidate) -> bool:
-        """Both constraints at the candidate (same math as ``verify``)."""
+    def constraints(self, cand: Candidate) -> tuple[float, float]:
+        """Worst steady redline margin (C) and room power (kW) at ``cand``."""
         t_vec = self.outlets(cand.outlet_idx)
         node_power = self.datacenter.node_power_kw(cand.pstates)
         margin = self.model.redline_margin(t_vec, node_power, self.redline)
-        if margin.min() < -self.tol:
-            return False
         breakdown = total_power(self.datacenter, t_vec, node_power)
-        return breakdown.total <= self._cap_limit()
+        return float(margin.min()), float(breakdown.total)
+
+    def is_feasible(self, cand: Candidate) -> bool:
+        """Both constraints at the candidate (same math as ``verify``)."""
+        margin, power = self.constraints(cand)
+        return margin >= -self.tol and power <= self._cap_limit()
 
     # ------------------------------------------------------------------
     def repair(self, cand: Candidate) -> None:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.api import (BestPsiOutcome, SolveOptions, SolveOutcome,
-                            SolveRequest, SolveResult, SolveState,
-                            available_methods, solve)
+                            SolveRequest, SolveResult, SolveState, solve)
+from repro.solvers import list_solvers
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ class TestOptions:
 
 class TestSolveDispatch:
     def test_methods_listed(self):
-        assert set(available_methods()) >= {"three_stage", "best_psi",
+        assert set(list_solvers()) >= {"three_stage", "best_psi",
                                             "baseline", "exact",
                                             "annealing", "evolution"}
 

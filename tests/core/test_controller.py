@@ -19,6 +19,7 @@ from repro.core.api import SolveRequest, SolveResult, solve
 from repro.core.controller import idle_start_t_out, plan_with_transient_guard
 from repro.experiments import (PAPER_SET_1, ScenarioConfig, generate_scenario,
                                scaled_down)
+from repro.faults import policy as policy_module
 from repro.faults.model import FaultSchedule
 from repro.faults.policy import (ChaosRunResult, FaultAwareController,
                                  ReactionPolicy)
@@ -60,18 +61,19 @@ def step_run(tiny_scenario, step_profile):
     ctrl = FaultAwareController(sc.datacenter, sc.workload, sc.p_const,
                                 ReactionPolicy(**GUARDED))
     plans = []
-    replan = ctrl._replan_interval
+    guard = policy_module.plan_with_transient_guard
 
     def keep_plan(*args, **kwargs):
-        out = replan(*args, **kwargs)
+        out = guard(*args, **kwargs)
         plans.append(out[0])
         return out
 
-    ctrl._replan_interval = keep_plan
     trace = generate_nonstationary_trace(sc.workload, step_profile, 120.0,
                                          np.random.default_rng(3))
-    result = ctrl.run(trace, 120.0, FaultSchedule.empty(),
-                      profile=step_profile)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy_module, "plan_with_transient_guard", keep_plan)
+        result = ctrl.run(trace, 120.0, FaultSchedule.empty(),
+                          profile=step_profile)
     return SimpleNamespace(result=result, plans=plans)
 
 

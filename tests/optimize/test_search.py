@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optimize.search import (coarse_to_fine_search, golden_refine,
-                                   temperature_grid,
+from repro.optimize.search import (coarse_to_fine_search, temperature_grid,
                                    uniform_then_coordinate_search)
 
 
@@ -113,14 +112,3 @@ class TestUniformCoordinate:
         res = uniform_then_coordinate_search(obj, 2, 10, 25, step=1.0)
         np.testing.assert_allclose(res.temperatures, 20.0)
 
-
-class TestGoldenRefine:
-    def test_refines_quadratic(self):
-        t, val = golden_refine(lambda x: -(x - 17.3) ** 2, 10, 25, tol=1e-4)
-        assert t == pytest.approx(17.3, abs=1e-3)
-        assert val == pytest.approx(0.0, abs=1e-6)
-
-    def test_minimize(self):
-        t, _ = golden_refine(lambda x: (x - 12.0) ** 2, 10, 25,
-                             maximize=False, tol=1e-4)
-        assert t == pytest.approx(12.0, abs=1e-3)

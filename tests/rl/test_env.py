@@ -1,14 +1,17 @@
-"""ThermalSchedulingEnv: determinism, feasibility, API validation."""
+"""ThermalSchedulingEnv: determinism, feasibility, API validation, and
+the shared epoch step underneath."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.controller import idle_start_t_out, run_epoch
 from repro.experiments.config import PAPER_SET_1, scaled_down
 from repro.experiments.generator import generate_scenario
-from repro.rl import (GreedyPlanPolicy, ThermalSchedulingEnv,
-                      make_gymnasium_env)
+from repro.rl import GreedyPlanPolicy, ThermalSchedulingEnv
 
 from tests.conftest import SEED
 
@@ -138,24 +141,55 @@ class TestValidation:
 
     def test_plan_action_always_feasible(self, scenario):
         env = _make_env(scenario)
-        spec = env.action_spec()
-        n_types = len(spec["pstate_levels"])
+        n_types = len(scenario.datacenter.node_types)
         cand, reward = env.plan_action((0, tuple([0] * n_types)))
         if reward >= 0.0:
             assert env.evaluator.is_feasible(cand)
 
 
-class TestGymnasiumAdapter:
-    def test_raises_without_gymnasium(self, scenario):
-        try:
-            import gymnasium  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match="gymnasium"):
-                make_gymnasium_env(scenario.datacenter, scenario.workload,
-                                   scenario.p_const)
-        else:  # pragma: no cover - container has no gymnasium
-            env = make_gymnasium_env(scenario.datacenter,
-                                     scenario.workload, scenario.p_const,
-                                     n_epochs=1, epoch_s=20.0)
-            obs, info = env.reset(seed=0)
-            assert obs.shape == (env.env.observation_size,)
+
+class TestEpochStep:
+    """``step`` is the shared epoch step on the repaired plan."""
+
+    @staticmethod
+    def _plan(env, action):
+        cand, _ = env.plan_action(action)
+        return SimpleNamespace(
+            t_crac_out=env.evaluator.outlets(cand.outlet_idx),
+            pstates=cand.pstates, tc=env.evaluator.finish(cand).tc)
+
+    def test_step_matches_direct_epoch_step(self, scenario):
+        env = _make_env(scenario)
+        obs, _ = env.reset(seed=5)
+        action = GreedyPlanPolicy(env)(obs)
+        tasks = env.slices[0]
+        direct = run_epoch(scenario.datacenter, scenario.workload,
+                           self._plan(env, action),
+                           idle_start_t_out(scenario.datacenter), tasks,
+                           0.0, env.epoch_s, tau_s=env.tau_s)
+        _, reward, _, _, info = env.step(action)
+        assert direct.metrics.to_dict() == env.last.metrics.to_dict()
+        assert reward == direct.metrics.total_reward
+        assert info["violation_minutes"] == direct.violation_minutes
+        assert info["n_tasks"] == len(tasks)
+
+    def test_carries_transient_end_state(self, scenario):
+        """Epoch k + 1 starts where epoch k's transient ended, not at
+        the plan's steady state."""
+        env = _make_env(scenario, epoch_s=5.0)
+        obs, _ = env.reset(seed=2)
+        action = GreedyPlanPolicy(env)(obs)
+        env.step(action)
+        first = env.last
+        assert np.array_equal(env.t_out, first.t_out)
+        plan = self._plan(env, action)
+        dc = scenario.datacenter
+        steady = dc.thermal.steady_state(
+            plan.t_crac_out, dc.node_power_kw(plan.pstates)).t_out
+        assert not np.allclose(first.t_out, steady)
+        second = run_epoch(dc, scenario.workload, plan, first.t_out,
+                           env.slices[1], env.epoch_s, 2 * env.epoch_s,
+                           tau_s=env.tau_s)
+        env.step(action)
+        assert np.array_equal(env.t_out, second.t_out)
+        assert env.last.metrics.to_dict() == second.metrics.to_dict()

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.api import (SolveOptions, SolveRequest, available_methods,
-                            solve)
+from repro.core.api import SolveOptions, SolveRequest, solve
 from repro.experiments.config import PAPER_SET_1, scaled_down
 from repro.experiments.generator import generate_scenario
 from repro.solvers import get_solver, list_solvers, register_solver
@@ -28,9 +27,6 @@ class TestRegistry:
     def test_sorted_and_stable(self):
         assert list(list_solvers()) == sorted(list_solvers())
         assert list_solvers() == list_solvers()
-
-    def test_available_methods_is_registry(self):
-        assert available_methods() == list_solvers()
 
     def test_get_unknown_raises_with_choices(self):
         with pytest.raises(ValueError, match="three_stage"):
