@@ -26,6 +26,7 @@ solver tournament and the RL environment share:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.simulate.engine import CoreOutage, simulate_trace
 from repro.simulate.metrics import SimulationMetrics
 from repro.thermal.transient import simulate_transient
 from repro.workload.tasktypes import Workload
-from repro.workload.trace import Task
+from repro.workload.trace import Task, Trace, as_trace
 
 __all__ = ["ShedPlan", "shed_plan", "idle_start_t_out",
            "plan_with_transient_guard", "EpochOutcome", "run_epoch"]
@@ -219,7 +220,8 @@ class EpochOutcome:
 
 
 def run_epoch(datacenter: DataCenter, workload: Workload, plan,
-              t_out_prev: np.ndarray | None, tasks: list[Task],
+              t_out_prev: np.ndarray | None,
+              tasks: Trace | Sequence[Task],
               start_s: float, end_s: float, *, tau_s: float,
               outages: list[CoreOutage] | None = None,
               stranded: str = "requeue") -> EpochOutcome:
@@ -250,12 +252,9 @@ def run_epoch(datacenter: DataCenter, workload: Workload, plan,
         overshoot = float(transient.max_inlet_overshoot(redline))
         violation_min = transient.violation_minutes(redline)
         t_out = transient.t_out[-1]
-    if start_s != 0.0:
-        tasks = [Task(arrival=t.arrival - start_s, task_type=t.task_type,
-                      uid=t.uid, deadline=t.deadline - start_s)
-                 for t in tasks]
     metrics = simulate_trace(datacenter, workload, plan.tc, plan.pstates,
-                             tasks, duration=end_s - start_s,
+                             as_trace(tasks).shifted(start_s),
+                             duration=end_s - start_s,
                              faults=outages or None,
                              stranded_policy=stranded)
     return EpochOutcome(metrics=metrics, overshoot_c=overshoot,

@@ -24,18 +24,19 @@ a point that legitimately varies between executions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from repro.experiments.config import PAPER_SET_1, scaled_down
-from repro.experiments.engine import SweepPoint, sweep
+from repro.experiments.engine import DrawKey, SweepPoint, sweep
 from repro.experiments.generator import Scenario, generate_scenario
 from repro.faults.model import FaultSchedule
 from repro.faults.policy import (ChaosRunResult, FaultAwareController,
                                  ReactionPolicy)
 from repro.faults.schedule import (FaultRates, demo_rates,
                                    generate_fault_schedule)
-from repro.workload.trace import generate_trace
+from repro.workload.trace import Trace, generate_trace
 
 __all__ = ["ChaosConfig", "ChaosPoint", "fault_schedule",
            "run_chaos_point", "run_chaos_scenario", "sweep_chaos",
@@ -110,13 +111,22 @@ class ChaosPoint(SweepPoint):
                    detail=result.to_dict())
 
 
-def _chaos_inputs(config: ChaosConfig) -> tuple[Scenario, list]:
-    """The exact room and trace ``repro simulate`` would use."""
+@lru_cache(maxsize=1)
+def _chaos_trace(key: DrawKey) -> Trace:
+    """The trace, drawn once per process and config."""
+    return generate_trace(key.workload, key.config.horizon_s,
+                          np.random.default_rng(key.config.seed + 1))
+
+
+def _chaos_inputs(config: ChaosConfig) -> tuple[Scenario, Trace]:
+    """The exact room and trace ``repro simulate`` would use.
+
+    The trace is shared by every factor; each run gets a room of its
+    own, so no thermal-model cache carries over between runs.
+    """
     scenario = generate_scenario(scaled_down(PAPER_SET_1, config.n_nodes),
                                  config.seed)
-    trace = generate_trace(scenario.workload, config.horizon_s,
-                           np.random.default_rng(config.seed + 1))
-    return scenario, trace
+    return scenario, _chaos_trace(DrawKey(config, scenario.workload))
 
 
 def fault_schedule(config, n_crac: int, factor: float) -> FaultSchedule:

@@ -27,20 +27,21 @@ Caching and fan-out are the engine's :func:`~repro.experiments.engine.sweep`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.control.mpc import MPCConfig
 from repro.experiments.chaos import fault_schedule
 from repro.experiments.config import PAPER_SET_1, scaled_down
-from repro.experiments.engine import SweepPoint, sweep
+from repro.experiments.engine import DrawKey, SweepPoint, sweep
 from repro.experiments.generator import Scenario, generate_scenario
 from repro.faults.policy import (ChaosRunResult, FaultAwareController,
                                  ReactionPolicy)
 from repro.faults.schedule import FaultRates
 from repro.workload.profiles import (ConstantProfile,
                                      generate_nonstationary_trace)
-from repro.workload.trace import FlashCrowdProfile
+from repro.workload.trace import FlashCrowdProfile, Trace
 
 __all__ = ["CONTROLLERS", "ControlConfig", "ControlPoint",
            "run_control_point", "sweep_control", "control_table"]
@@ -157,15 +158,30 @@ class ControlPoint(SweepPoint):
                    sheds=result.shed_intervals)
 
 
-def _control_inputs(config: ControlConfig) -> tuple[Scenario, object, list]:
-    """Room, profile and non-stationary trace shared by both arms."""
+@lru_cache(maxsize=1)
+def _control_demand(key: DrawKey) -> tuple[FlashCrowdProfile, Trace]:
+    """The flash-crowd profile and trace, drawn once per process and
+    config."""
+    config, workload = key.config, key.workload
+    profile = config.profile(workload.arrival_rates)
+    trace = generate_nonstationary_trace(
+        workload, profile, config.horizon_s,
+        np.random.default_rng(config.seed + 1))
+    return profile, trace
+
+
+def _control_inputs(config: ControlConfig
+                    ) -> tuple[Scenario, FlashCrowdProfile, Trace]:
+    """Room, profile and non-stationary trace of one arm.
+
+    The profile and trace are shared by every arm.  Each arm gets a room
+    of its own: a shared room would carry its thermal model's cache of
+    censored views from arm to arm and change the runs' metric counters.
+    """
     scenario = generate_scenario(scaled_down(PAPER_SET_1, config.n_nodes),
                                  config.seed)
-    profile = config.profile(scenario.workload.arrival_rates)
-    trace = generate_nonstationary_trace(
-        scenario.workload, profile, config.horizon_s,
-        np.random.default_rng(config.seed + 1))
-    return scenario, profile, trace
+    return (scenario,
+            *_control_demand(DrawKey(config, scenario.workload)))
 
 
 def run_control_point(config: ControlConfig, controller: str,

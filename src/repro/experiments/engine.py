@@ -39,7 +39,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -53,7 +53,8 @@ from repro.experiments.runner import (RunFailure, RunResult, SetResult,
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["EngineConfig", "EngineError", "run_set", "run_sets",
-           "parallel_map", "sweep", "SweepPoint", "point_key", "cache_key",
+           "parallel_map", "sweep", "SweepPoint", "DrawKey", "point_key",
+           "cache_key",
            "cache_path", "canonical_json", "code_version", "load_point",
            "store_point", "CACHE_SCHEMA_VERSION"]
 
@@ -216,6 +217,17 @@ class SweepPoint:
     @classmethod
     def from_dict(cls, doc: dict):
         return cls(**doc)
+
+
+@dataclass(frozen=True)
+class DrawKey:
+    """Memo key of a sweep's shared random draws: equal and hashed by
+    ``config`` alone.  ``workload`` is the workload the config's room
+    generates, which the draws need; it rides along uncompared, so a
+    memo hit never depends on which arm's room supplied it."""
+
+    config: object
+    workload: object = field(compare=False)
 
 
 def point_key(tag: str, config, arm: dict) -> str:

@@ -17,6 +17,7 @@ from repro.datacenter.builder import DataCenter, build_datacenter
 from repro.datacenter.coretypes import paper_node_types
 from repro.datacenter.power import PowerBounds, power_bounds
 from repro.experiments.config import ScenarioConfig
+from repro.obs.trace import span as obs_span
 from repro.thermal.interference import attach_thermal_model
 from repro.workload.tasktypes import Workload, generate_workload
 
@@ -53,25 +54,26 @@ class Scenario:
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     """Build a scenario deterministically from a config and seed."""
-    rng = np.random.default_rng(seed)
-    node_types = paper_node_types(config.static_fraction)
-    dc = build_datacenter(
-        n_nodes=config.n_nodes,
-        n_crac=config.n_crac,
-        node_types=node_types,
-        rng=rng,
-        crac_outlet_range_c=(config.crac_outlet_low_c,
-                             config.crac_outlet_high_c),
-        nodes_per_rack=config.nodes_per_rack,
-    )
-    attach_thermal_model(dc, rng=rng, facing_share=config.facing_share)
-    workload = generate_workload(
-        dc, rng,
-        n_task_types=config.n_task_types,
-        v_ecs=config.v_ecs,
-        v_prop=config.v_prop,
-        v_arrival=config.v_arrival,
-    )
-    bounds = power_bounds(dc)
-    return Scenario(config=config, seed=seed, datacenter=dc,
-                    workload=workload, bounds=bounds)
+    with obs_span("generate", n_nodes=config.n_nodes):
+        rng = np.random.default_rng(seed)
+        node_types = paper_node_types(config.static_fraction)
+        dc = build_datacenter(
+            n_nodes=config.n_nodes,
+            n_crac=config.n_crac,
+            node_types=node_types,
+            rng=rng,
+            crac_outlet_range_c=(config.crac_outlet_low_c,
+                                 config.crac_outlet_high_c),
+            nodes_per_rack=config.nodes_per_rack,
+        )
+        attach_thermal_model(dc, rng=rng, facing_share=config.facing_share)
+        workload = generate_workload(
+            dc, rng,
+            n_task_types=config.n_task_types,
+            v_ecs=config.v_ecs,
+            v_prop=config.v_prop,
+            v_arrival=config.v_arrival,
+        )
+        bounds = power_bounds(dc)
+        return Scenario(config=config, seed=seed, datacenter=dc,
+                        workload=workload, bounds=bounds)

@@ -64,7 +64,7 @@ from repro.simulate.engine import CoreOutage
 from repro.simulate.metrics import SimulationMetrics
 from repro.workload.profiles import ArrivalProfile
 from repro.workload.tasktypes import Workload
-from repro.workload.trace import Task
+from repro.workload.trace import Task, Trace, as_trace
 
 __all__ = ["ReactionPolicy", "IntervalRecord", "ChaosRunResult",
            "FaultAwareController"]
@@ -398,7 +398,7 @@ class FaultAwareController:
             self._warm = WarmPool()
 
     # ------------------------------------------------------------------
-    def run(self, trace: list[Task], horizon_s: float,
+    def run(self, trace: Trace | list[Task], horizon_s: float,
             schedule: FaultSchedule,
             profile: ArrivalProfile | None = None) -> ChaosRunResult:
         """Replay ``trace`` over ``horizon_s`` seconds under ``schedule``.
@@ -406,10 +406,12 @@ class FaultAwareController:
         With ``profile`` the interval workloads track the drifting
         arrival rates (and the MPC lookahead reads its forecast from the
         profile); without it the stationary workload is used everywhere,
-        which keeps the classic chaos runs bit-identical.
+        which keeps the classic chaos runs bit-identical.  ``trace``
+        must be in arrival order; a list of tasks is converted once.
         """
         if horizon_s <= 0:
             raise ValueError("horizon must be positive")
+        trace = as_trace(trace)
         dc = self.datacenter
         pol = self.policy
         schedule.validate_for(dc.n_nodes, dc.n_crac)
@@ -450,7 +452,7 @@ class FaultAwareController:
 
     def _run_interval(self, a: float, b: float, horizon_s: float,
                       cause: str, state, view: DegradedView, cap: float,
-                      trace: list[Task], cursor: int,
+                      trace: Trace, cursor: int,
                       t_out_full: np.ndarray | None,
                       schedule: FaultSchedule,
                       profile: ArrivalProfile | None = None,
@@ -506,8 +508,7 @@ class FaultAwareController:
 
         # the interval's task slice
         first = cursor
-        while cursor < len(trace) and trace[cursor].arrival < b:
-            cursor += 1
+        cursor = int(np.searchsorted(trace.arrival, b, "left"))
 
         # nodes dying exactly at the right boundary strand their queues
         outages: list[CoreOutage] = []

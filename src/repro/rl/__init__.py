@@ -46,7 +46,7 @@ class ThermalSchedulingEnv:
         return cand, self.evaluator.evaluate(cand)
 
     def _observe(self, margin: float, power_kw: float) -> np.ndarray:
-        counts = np.bincount([t.task_type for t in self.slices[self.epoch]],
+        counts = np.bincount(self.slices[self.epoch].task_type,
                              minlength=self.workload.n_task_types)
         expected = np.asarray(self.workload.arrival_rates) * self.epoch_s
         return np.concatenate([[self.epoch / self.n_epochs],
@@ -57,7 +57,7 @@ class ThermalSchedulingEnv:
         trace = generate_trace(self.workload, self.epoch_s * self.n_epochs,
                                np.random.default_rng(seed))
         # one slice per epoch, and an empty one past the last
-        edges = np.searchsorted([t.arrival for t in trace],
+        edges = np.searchsorted(trace.arrival,
                                 self.epoch_s * np.arange(self.n_epochs + 2))
         self.slices = [trace[i:j] for i, j in zip(edges, edges[1:])]
         self.epoch, self.t_out = 0, idle_start_t_out(self.datacenter)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 from repro.simulate.metrics import SimulationMetrics
 from repro.workload.tasktypes import Workload
-from repro.workload.trace import Task
+from repro.workload.trace import Task, Trace, as_trace
 
 __all__ = ["CoreOutage", "simulate_trace"]
 
@@ -73,7 +72,7 @@ class CoreOutage:
 
 def simulate_trace(datacenter: DataCenter, workload: Workload,
                    tc: np.ndarray, pstates: np.ndarray,
-                   trace: list[Task], *,
+                   trace: Trace | Sequence[Task], *,
                    duration: float | None = None,
                    collect_latency: bool = True,
                    faults: Sequence[CoreOutage] | None = None,
@@ -86,9 +85,10 @@ def simulate_trace(datacenter: DataCenter, workload: Workload,
         Desired rates and P-states from a first-step assignment (either
         technique).
     trace:
-        Tasks in arrival order (as produced by
-        :func:`repro.workload.trace.generate_trace`); an unsorted
-        trace replays as its stable-sorted copy.
+        A :class:`~repro.workload.trace.Trace` in arrival order (as
+        produced by :func:`repro.workload.trace.generate_trace`); a
+        sequence of tasks is converted once.  An unsorted trace replays
+        as its stable-sorted copy.
     duration:
         Horizon used for rate metrics; defaults to the latest arrival (or
         1s for an empty trace).  Completions beyond the horizon still
@@ -106,6 +106,7 @@ def simulate_trace(datacenter: DataCenter, workload: Workload,
         ``"drop"`` discards them.  Response times of requeued tasks are
         measured from the requeue instant.
     """
+    trace = as_trace(trace)
     with obs_span("des_replay", n_tasks=len(trace),
                   faulted=bool(faults)):
         metrics = _simulate_trace(
@@ -127,7 +128,7 @@ def simulate_trace(datacenter: DataCenter, workload: Workload,
 
 def _simulate_trace(datacenter: DataCenter, workload: Workload,
                     tc: np.ndarray, pstates: np.ndarray,
-                    trace: list[Task], *,
+                    trace: Trace, *,
                     duration: float | None,
                     collect_latency: bool,
                     faults: Sequence[CoreOutage] | None,
@@ -135,13 +136,16 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     if stranded_policy not in STRANDED_POLICIES:
         raise ValueError(f"stranded_policy must be one of "
                          f"{STRANDED_POLICIES}, got {stranded_policy!r}")
-    for task in trace:
-        if not task.arrival >= 0.0:
-            raise ValueError(
-                f"task arrival must be non-negative, got {task.arrival}")
-    tasks = sorted(trace, key=attrgetter("arrival"))
+    valid = trace.arrival >= 0.0
+    if not valid.all():
+        raise ValueError(f"task arrival must be non-negative, "
+                         f"got {trace.arrival[~valid][0]}")
+    order = np.argsort(trace.arrival, kind="stable")
+    arrivals = trace.arrival[order].tolist()
+    task_types = trace.task_type[order].tolist()
+    deadlines = trace.deadline[order].tolist()
     if duration is None:
-        duration = tasks[-1].arrival if tasks else 1.0
+        duration = arrivals[-1] if arrivals else 1.0
         duration = max(duration, 1e-9)
     scheduler = DynamicScheduler(datacenter, workload, tc, pstates)
     select_core = scheduler.select_core
@@ -162,10 +166,10 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     # fault-injection state -------------------------------------------
     have_faults = bool(faults)
     dead_count = np.zeros(n_cores, dtype=int)
-    # per-core FIFO of queued work: (finish, assignment, task, start,
-    # latency slot); finish times grow along each FIFO
-    queued: list[deque[tuple[float, int, Task, float, int | None]]] | None = \
-        [deque() for _ in range(n_cores)] if have_faults else None
+    # per-core FIFO of queued work: (finish, assignment, task type,
+    # deadline, start, latency slot); finish times grow along each FIFO
+    queued: list[deque[tuple[float, int, int, float, float, int | None]]] \
+        | None = [deque() for _ in range(n_cores)] if have_faults else None
     stranded: list[int] = []
     lat_removals: list[set[int]] | None = \
         [set() for _ in range(t_count)] if collect_latency else None
@@ -186,16 +190,15 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
     def clip(t: float) -> float:
         return min(t, duration)
 
-    def arrive(task: Task) -> None:
-        task_type = task.task_type
-        core = select_core(task_type, task.deadline, task.arrival, core_free)
+    def arrive(arrival: float, task_type: int, deadline: float) -> None:
+        core = select_core(task_type, deadline, arrival, core_free)
         if core is None:
             dropped[task_type] += 1
             return
         record_assignment(task_type, core)
-        start = max(task.arrival, core_free[core])
+        start = max(arrival, core_free[core])
         finish = start + exec_time[task_type, core]
-        if finish > task.deadline + 1e-9:
+        if finish > deadline + 1e-9:
             raise AssertionError(
                 "scheduler assigned a task it cannot finish in time")
         core_free[core] = finish
@@ -208,13 +211,15 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
         slot = None
         if latencies is not None:
             slot = len(latencies[task_type])
-            latencies[task_type].append(finish - task.arrival)
+            latencies[task_type].append(finish - arrival)
         if queued is not None:
-            queued[core].append((finish, len(finishes), task, start, slot))
+            queued[core].append((finish, len(finishes), task_type, deadline,
+                                 start, slot))
         finishes.append(finish)
         types.append(task_type)
 
-    requeued: list[Task] = []
+    # (task type, deadline) of stranded tasks awaiting their requeue
+    requeued: list[tuple[int, float]] = []
 
     def crash(now: float, cores: tuple[int, ...]) -> None:
         newly_dead: list[int] = []
@@ -228,24 +233,21 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
             fifo = queued[core]
             while fifo and fifo[0][0] <= now:   # finished by the crash
                 fifo.popleft()
-            for finish, rec, task, start, slot in fifo:
+            for finish, rec, task_type, deadline, start, slot in fifo:
                 stranded.append(rec)
-                scheduler.forget_assignment(task.task_type, core)
+                scheduler.forget_assignment(task_type, core)
                 # roll back busy time the task will never execute:
                 # it ran (at most) from its start until the crash
                 lost = max(0.0, clip(finish) - clip(max(start, now)))
                 busy[core] -= lost
-                busy_by_type[task.task_type, core] -= lost
+                busy_by_type[task_type, core] -= lost
                 if lat_removals is not None and slot is not None:
-                    lat_removals[task.task_type].add(slot)
+                    lat_removals[task_type].add(slot)
                 if stranded_policy == "requeue":
-                    stranded_requeued[task.task_type] += 1
-                    requeued.append(Task(arrival=now,
-                                         task_type=task.task_type,
-                                         uid=task.uid,
-                                         deadline=task.deadline))
+                    stranded_requeued[task_type] += 1
+                    requeued.append((task_type, deadline))
                 else:
-                    stranded_dropped[task.task_type] += 1
+                    stranded_dropped[task_type] += 1
             fifo.clear()
 
     def recover(now: float, cores: tuple[int, ...]) -> None:
@@ -273,8 +275,8 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
             next_t = instants[n_done][0] if pending else math.inf
             if requeued and requeue_t < min(t, next_t):
                 # nothing else happens at the requeue instant
-                for task in requeued:
-                    arrive(task)
+                for task_type, deadline in requeued:
+                    arrive(requeue_t, task_type, deadline)
                 requeued.clear()
             elif pending and next_t <= t:
                 now, is_recovery, _, cores = instants[n_done]
@@ -289,10 +291,10 @@ def _simulate_trace(datacenter: DataCenter, workload: Workload,
                 return requeue_t if requeued else next_t
 
     barrier = instants[0][0] if instants else math.inf
-    for task in tasks:
-        if task.arrival >= barrier:
-            barrier = advance(task.arrival)
-        arrive(task)
+    for arrival, task_type, deadline in zip(arrivals, task_types, deadlines):
+        if arrival >= barrier:
+            barrier = advance(arrival)
+        arrive(arrival, task_type, deadline)
     advance(math.inf)
 
     type_idx = np.asarray(types, dtype=int)

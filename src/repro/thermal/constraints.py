@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.trace import span as obs_span
 from repro.power.cop import CoPModel, HP_UTILITY_COP
 from repro.thermal.heatflow import HeatFlowModel
 
@@ -64,15 +65,16 @@ class ThermalLinearization:
         ``crac_const``/``crac_coeff`` pair.
         """
         t = np.asarray(t_crac_out, dtype=float)
-        const, gain = model.inlet_affine(t)
-        redline = np.asarray(redline_c, dtype=float)
-        if redline.shape != const.shape:
-            raise ValueError(
-                f"redline shape {redline.shape} != unit count {const.shape}")
-        cop = np.asarray(cop_model(t), dtype=float)
-        weight = model.crac_capacity / cop          # kW per Kelvin of lift
-        crac_const = float(weight @ (const[:model.n_crac] - t))
-        crac_coeff = weight @ gain[:model.n_crac, :]
+        with obs_span("linearize"):
+            const, gain = model.inlet_affine(t)
+            redline = np.asarray(redline_c, dtype=float)
+            if redline.shape != const.shape:
+                raise ValueError(f"redline shape {redline.shape} != "
+                                 f"unit count {const.shape}")
+            cop = np.asarray(cop_model(t), dtype=float)
+            weight = model.crac_capacity / cop      # kW per Kelvin of lift
+            crac_const = float(weight @ (const[:model.n_crac] - t))
+            crac_coeff = weight @ gain[:model.n_crac, :]
         return cls(
             t_crac_out=t,
             inlet_const=const,

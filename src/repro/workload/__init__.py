@@ -9,7 +9,7 @@ from repro.workload.profiles import (ArrivalProfile, ConstantProfile,
 from repro.workload.tasktypes import (Workload, arrival_rates, deadline_slacks,
                                       generate_workload, rewards_from_ecs)
 from repro.workload.trace import (FlashCrowdProfile, RegionalShiftProfile,
-                                  Task, TickDemand, generate_trace,
+                                  Task, TickDemand, Trace, generate_trace,
                                   stream_trace_ticks)
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "RegionalShiftProfile",
     "Task",
     "TickDemand",
+    "Trace",
     "generate_trace",
     "stream_trace_ticks",
 ]

@@ -16,8 +16,9 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.obs.trace import span as obs_span
 from repro.workload.tasktypes import Workload
-from repro.workload.trace import Task
+from repro.workload.trace import Trace, merge_arrivals, thin_arrivals
 
 __all__ = ["ArrivalProfile", "ConstantProfile", "DiurnalProfile",
            "StepProfile", "generate_nonstationary_trace"]
@@ -28,6 +29,11 @@ class ArrivalProfile(Protocol):
 
     def rates(self, t: float) -> np.ndarray:
         """Arrival-rate vector (tasks/s per type) at time ``t``."""
+        ...
+
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`rates` at each of ``times``, one row per instant,
+        bit-identical to the scalar calls (for batched thinning)."""
         ...
 
     def max_rates(self) -> np.ndarray:
@@ -43,6 +49,10 @@ class ConstantProfile:
 
     def rates(self, t: float) -> np.ndarray:
         return self.base_rates
+
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.base_rates,
+                               (times.size, len(self.base_rates)))
 
     def max_rates(self) -> np.ndarray:
         return self.base_rates
@@ -76,10 +86,15 @@ class DiurnalProfile:
         if self.period_s <= 0:
             raise ValueError("period must be positive")
 
-    def rates(self, t: float) -> np.ndarray:
-        factor = 1.0 + self.amplitude * np.sin(
+    def _factor(self, t):
+        return 1.0 + self.amplitude * np.sin(
             2.0 * np.pi * (t - self.phase_s) / self.period_s)
-        return self.base_rates * factor
+
+    def rates(self, t: float) -> np.ndarray:
+        return self.base_rates * self._factor(t)
+
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        return self.base_rates * self._factor(times[:, None])
 
     def max_rates(self) -> np.ndarray:
         return self.base_rates * (1.0 + self.amplitude)
@@ -115,6 +130,11 @@ class StepProfile:
                                     side="right"))
         return np.asarray(self.rate_levels)[level]
 
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        levels = np.searchsorted(np.asarray(self.boundaries), times,
+                                 side="right")
+        return np.asarray(self.rate_levels)[levels]
+
     def max_rates(self) -> np.ndarray:
         return np.asarray(self.rate_levels).max(axis=0)
 
@@ -122,34 +142,20 @@ class StepProfile:
 def generate_nonstationary_trace(workload: Workload,
                                  profile: ArrivalProfile,
                                  duration: float,
-                                 rng: np.random.Generator) -> list[Task]:
+                                 rng: np.random.Generator) -> Trace:
     """Sample a non-homogeneous Poisson trace by thinning (Lewis-Shedler).
 
     For each task type, candidate arrivals are drawn at the profile's
     maximum rate and kept with probability ``rates(t) / max_rate`` — the
-    standard exact algorithm for inhomogeneous Poisson processes.
-    Deadlines use the workload's per-type slack as in the stationary
-    generator.
+    standard exact algorithm for inhomogeneous Poisson processes
+    (:func:`~repro.workload.trace.thin_arrivals`).  Deadlines use the
+    workload's per-type slack as in the stationary generator.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
     max_rates = np.asarray(profile.max_rates(), dtype=float)
     if max_rates.shape != (workload.n_task_types,):
         raise ValueError("profile dimension does not match workload")
-    arrivals: list[tuple[float, int]] = []
-    for i, rate_max in enumerate(max_rates):
-        if rate_max <= 0:
-            continue
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate_max)
-            if t >= duration:
-                break
-            accept = profile.rates(t)[i] / rate_max
-            if rng.uniform() <= accept:
-                arrivals.append((t, i))
-    arrivals.sort()
-    slack = workload.deadline_slack
-    return [Task(arrival=t, task_type=i, uid=uid,
-                 deadline=t + float(slack[i]))
-            for uid, (t, i) in enumerate(arrivals)]
+    with obs_span("trace", duration_s=duration):
+        return merge_arrivals(
+            thin_arrivals(profile, max_rates, 0.0, duration, rng), workload)

@@ -115,6 +115,25 @@ class TestSweep:
         assert [p.to_dict() for p in resumed] == \
             [p.to_dict() for p in first]
 
+    def test_sweep_draws_its_trace_once(self, monkeypatch):
+        from repro.experiments import chaos as chaos_mod
+
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args[1])
+            return real(*args, **kwargs)
+
+        real = chaos_mod.generate_trace
+        monkeypatch.setattr(chaos_mod, "generate_trace", counting)
+        chaos_mod._chaos_trace.cache_clear()
+        sweep_chaos(CONFIG, [1.0])
+        assert draws == [CONFIG.horizon_s]
+        other = ChaosConfig(n_nodes=6, seed=0, horizon_s=20.0)
+        sweep_chaos(other, [])
+        assert draws == [CONFIG.horizon_s, other.horizon_s]
+        chaos_mod._chaos_trace.cache_clear()
+
     def test_cache_key_sensitive_to_config(self, tmp_path):
         cache = str(tmp_path / "cache")
         sweep_chaos(CONFIG, [0.5], cache_dir=cache, resume=False)

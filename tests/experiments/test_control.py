@@ -107,6 +107,57 @@ class TestSweepControl:
         assert [(p.controller, p.factor) for p in points] == [("mpc", 0.0)]
 
 
+class _StubController:
+    """Records the inputs each arm is given; runs nothing."""
+
+    rooms: list = []
+    traces: list = []
+
+    def __init__(self, datacenter, workload, p_const, policy):
+        self.rooms.append(datacenter)
+
+    def run(self, trace, horizon_s, schedule, profile=None):
+        from repro.faults.policy import ChaosRunResult
+
+        self.traces.append(trace)
+        return ChaosRunResult(horizon_s=horizon_s, schedule=schedule,
+                              intervals=[])
+
+
+class TestInputMemo:
+    def test_sweep_draws_its_trace_once(self, monkeypatch):
+        from repro.experiments import control as control_mod
+
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args[2])
+            return real(*args, **kwargs)
+
+        real = control_mod.generate_nonstationary_trace
+        monkeypatch.setattr(control_mod, "generate_nonstationary_trace",
+                            counting)
+        monkeypatch.setattr(control_mod, "FaultAwareController",
+                            _StubController)
+        monkeypatch.setattr(_StubController, "rooms", [])
+        monkeypatch.setattr(_StubController, "traces", [])
+        control_mod._control_demand.cache_clear()
+        sweep_control(CONFIG, [1.0], jobs=1)
+        assert len(draws) == 1
+        traces = _StubController.traces
+        assert len(traces) == 4 and all(t is traces[0] for t in traces)
+        # every arm builds its own room
+        assert len({id(room) for room in _StubController.rooms}) == 4
+
+        other = ControlConfig(n_nodes=6, seed=2, horizon_s=60.0,
+                              epoch_s=30.0, burst_start_s=0.0,
+                              burst_duration_s=30.0)
+        sweep_control(other, [], controllers=("interval",), jobs=1)
+        assert draws == [CONFIG.horizon_s, other.horizon_s]
+        assert _StubController.traces[-1] is not traces[0]
+        control_mod._control_demand.cache_clear()
+
+
 class TestControlTable:
     def test_table_lists_every_arm(self):
         points = [

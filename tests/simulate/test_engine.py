@@ -8,7 +8,7 @@ import pytest
 from repro.core.scheduler import DynamicScheduler
 from repro.simulate import CoreOutage
 from repro.simulate.engine import simulate_trace
-from repro.workload.trace import Task, generate_trace
+from repro.workload.trace import Task, Trace, generate_trace
 from tests.simulate.heap_oracle import assert_same_metrics
 
 
@@ -214,6 +214,14 @@ class TestInputChecks:
         task = Task(arrival=float("nan"), task_type=0, uid=0, deadline=5.0)
         with pytest.raises(ValueError):
             self._replay(scenario, assignment, [task], duration=1.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_trace_with_bad_arrival_rejected(self, scenario, assignment,
+                                             bad):
+        trace = Trace(arrival=[0.5, bad, 0.75], task_type=[0, 0, 0],
+                      uid=[0, 1, 2], deadline=[5.0, 5.0, 5.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            self._replay(scenario, assignment, trace, duration=1.0)
 
     def test_unsorted_trace_replays_as_sorted_copy(self, scenario,
                                                    assignment):

@@ -15,12 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.simulate import CoreOutage, simulate_trace
-from repro.workload.trace import Task, generate_trace
+from repro.workload.trace import Task, Trace, generate_trace
 from tests.simulate.heap_oracle import assert_same_metrics, heap_simulate_trace
 
 
 def _trace(workload, horizon, seed, grid):
-    trace = generate_trace(workload, horizon, np.random.default_rng(seed))
+    trace = list(generate_trace(workload, horizon,
+                                np.random.default_rng(seed)))
     if grid is None:
         return trace
     snapped = []
@@ -78,8 +79,11 @@ def test_matches_heap_oracle(scenario, assignment, data):
         collect_latency=data.draw(st.booleans(), label="latency"),
         faults=_outages(data, dc.n_cores, trace, horizon, finishes),
         stranded_policy=data.draw(st.sampled_from(["requeue", "drop"])))
+    # the engine takes the columnar trace or the list of tasks alike
+    replayed = (Trace.from_tasks(trace)
+                if data.draw(st.booleans(), label="columns") else trace)
     assert_same_metrics(
-        simulate_trace(dc, wl, assignment.tc, assignment.pstates, trace,
+        simulate_trace(dc, wl, assignment.tc, assignment.pstates, replayed,
                        **kwargs),
         heap_simulate_trace(dc, wl, assignment.tc, assignment.pstates,
                             trace, **kwargs))
