@@ -1,4 +1,4 @@
-"""Thin wrapper around :func:`scipy.optimize.linprog` (HiGHS).
+"""Linear programs solved by HiGHS through scipy's bundled binding.
 
 All linear programs in the library are built as sparse inequality /
 equality systems and solved with the HiGHS dual simplex, which is exact
@@ -15,11 +15,19 @@ The wrapper exists so that
   ``<=`` and :meth:`LinearProgram.add_eq_rows` for ``==`` — without
   each call site repeating the scipy boilerplate.
 
-Constraint data is held as numpy ``(row, col, val)`` triplet blocks,
-one list per sense, and concatenated once per
-:meth:`LinearProgram.matrices`; no triplet is ever a Python scalar, so
-a master LP with hundreds of thousands of nonzeros costs 24 bytes per
-nonzero rather than a Python object per entry.
+Constraint data is held as one CSR block per call (duplicates summed,
+zeros dropped), one list per sense, and stacked once per
+:meth:`LinearProgram.matrices`; a master LP with hundreds of thousands
+of nonzeros costs 12 bytes per nonzero.
+
+:meth:`LinearProgram.solve` hands the model to HiGHS through
+``scipy.optimize._highspy._core`` with the options
+``scipy.optimize.linprog(method="highs")`` passes (presolve on, dual
+simplex, no output), so HiGHS sees the model ``linprog`` would give it
+and returns the same vertex.  It keeps ``linprog``'s input checks, its
+status codes and its post-solve feasibility check, but makes none of
+``linprog``'s copies of the constraint matrix and fetches no basis or
+bound marginals.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog as _scipy_linprog
+from scipy.optimize._highspy import _core as highs
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
@@ -53,7 +61,9 @@ class LPSolution:
         Optimal objective value *in the caller's sense* (i.e. already
         negated back for maximization problems).
     status:
-        HiGHS status code (0 = optimal).
+        Status code (0 = optimal, 1 = iteration/time limit,
+        2 = infeasible, 3 = unbounded, 4 = numerical trouble), as
+        :func:`scipy.optimize.linprog` numbers them.
     """
 
     x: np.ndarray
@@ -76,42 +86,78 @@ def grouped_rows(group_of_var: np.ndarray, vals: np.ndarray
                                      shape=(groups.size, n_vars))
 
 
-class _Rows:
-    """The ``<=`` (or ``==``) rows of a program as numpy triplet blocks.
+_STATUS = highs.HighsModelStatus
+#: HiGHS model status -> ``(status code, message)`` as ``linprog`` maps them
+_STATUS_CODES = {
+    _STATUS.kOptimal: (0, "Optimization terminated successfully. "),
+    _STATUS.kTimeLimit: (1, "Time limit reached. "),
+    _STATUS.kIterationLimit: (1, "Iteration limit reached. "),
+    _STATUS.kInfeasible: (2, "The problem is infeasible. "),
+    _STATUS.kUnbounded: (3, "The problem is unbounded. "),
+    _STATUS.kUnboundedOrInfeasible: (
+        4, "The problem is unbounded or infeasible. "),
+    _STATUS.kModelError: (2, ""),
+    **{s: (4, "") for s in (
+        _STATUS.kNotset, _STATUS.kLoadError, _STATUS.kPresolveError,
+        _STATUS.kSolveError, _STATUS.kPostsolveError, _STATUS.kModelEmpty,
+        _STATUS.kObjectiveBound, _STATUS.kObjectiveTarget)},
+}
 
-    Each block holds its own ``(row, col, val)`` arrays and right-hand
-    sides; :meth:`arrays` concatenates them once and keeps the result
-    as the single block, so repeated solves of a growing program (the
-    zonal master LP's cut rounds) re-concatenate only what was added.
+#: post-solve tolerance on bounds, slacks and residuals (``linprog``'s)
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+
+def _highs_options() -> highs.HighsOptions:
+    """The options ``linprog(method="highs")`` passes; the rest default."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = (
+        highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+_OPTIONS = _highs_options()
+
+
+class _Rows:
+    """The ``<=`` (or ``==``) rows of a program as CSR blocks.
+
+    Each block is stored with the program's width when it was added;
+    :meth:`matrix` stacks them once at the current width and keeps the
+    result as the single block, so repeated solves of a growing program
+    (the zonal master LP's cut rounds) re-stack only what was added.
     """
 
     def __init__(self) -> None:
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.blocks: list[sparse.csr_matrix] = []
         self.rhs: list[np.ndarray] = []
         self.n_rows = 0
         self.nnz = 0
 
-    def append(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               rhs: np.ndarray) -> None:
-        """Add a block whose ``rows`` count from 0 at its first row."""
-        self.blocks.append((np.asarray(rows, dtype=np.int64) + self.n_rows,
-                            np.asarray(cols, dtype=np.int64),
-                            np.asarray(vals, dtype=float)))
+    def append(self, block: sparse.csr_matrix, rhs: np.ndarray) -> None:
+        self.blocks.append(block)
         self.rhs.append(rhs)
         self.n_rows += rhs.size
-        self.nnz += len(vals)
+        self.nnz += block.nnz
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray]:
-        """``(rows, cols, vals, rhs)`` of every block, concatenated."""
-        if not self.blocks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0), np.empty(0)
-        if len(self.blocks) > 1:
-            self.blocks = [tuple(np.concatenate(part)
-                                 for part in zip(*self.blocks))]
+    def matrix(self, n_cols: int
+               ) -> tuple["sparse.csr_matrix | None", "np.ndarray | None"]:
+        """``(A, b)`` of every block, or ``(None, None)`` without rows."""
+        if not self.n_rows:
+            return None, None
+        # widening a CSR block only changes its shape, not its arrays
+        blocks = [b if b.shape[1] == n_cols else
+                  sparse.csr_matrix((b.data, b.indices, b.indptr),
+                                    shape=(b.shape[0], n_cols))
+                  for b in self.blocks]
+        self.blocks = [blocks[0] if len(blocks) == 1 else
+                       sparse.vstack(blocks, format="csr")]
+        if len(self.rhs) > 1:
             self.rhs = [np.concatenate(self.rhs)]
-        return (*self.blocks[0], self.rhs[0])
+        return self.blocks[0], self.rhs[0].copy()
 
 
 @dataclass
@@ -151,7 +197,7 @@ class LinearProgram:
 
     @property
     def nnz(self) -> int:
-        """Stored constraint triplets (duplicates are summed at solve)."""
+        """Stored constraint nonzeros, after duplicates are summed."""
         return self._le.nnz + self._eq.nnz
 
     def add_variables(self, n: int, lb: float | Sequence[float] = 0.0,
@@ -205,7 +251,9 @@ class LinearProgram:
         if rows.shape[1] != self._num_vars:
             raise ValueError(
                 f"row width {rows.shape[1]} != variable count {self._num_vars}")
-        target.append(r, c, v, rhs)
+        # the COO -> CSR conversion sums duplicates within each row
+        target.append(sparse.csr_matrix((np.asarray(v, dtype=float), (r, c)),
+                                        shape=rows.shape), rhs)
 
     # ------------------------------------------------------------------
     def matrices(self) -> tuple["sparse.csr_matrix | None",
@@ -215,20 +263,12 @@ class LinearProgram:
         """The assembled constraints as ``(A_ub, b_ub, A_eq, b_eq)``.
 
         ``A_ub``/``A_eq`` are CSR with one column per variable, and
-        duplicate triplets are summed; a sense without rows gives
-        ``None`` for both its matrix and its rhs, as
-        :func:`scipy.optimize.linprog` expects.
+        duplicate entries are summed; a sense without rows gives
+        ``None`` for both its matrix and its rhs.  The matrices are the
+        program's own storage and must not be modified.
         """
-        return (*self._matrix(self._le), *self._matrix(self._eq))
-
-    def _matrix(self, rows: _Rows
-                ) -> tuple["sparse.csr_matrix | None", "np.ndarray | None"]:
-        if not rows.n_rows:
-            return None, None
-        r, c, v, b = rows.arrays()
-        return (sparse.csr_matrix((v, (r, c)),
-                                  shape=(rows.n_rows, self._num_vars)),
-                b.copy())
+        n = self._num_vars
+        return (*self._le.matrix(n), *self._eq.matrix(n))
 
     def solve(self, *, require_feasible: bool = True) -> LPSolution:
         """Solve with HiGHS and return an :class:`LPSolution`.
@@ -237,6 +277,9 @@ class LinearProgram:
         ------
         InfeasibleError
             If the LP is infeasible/unbounded and ``require_feasible``.
+        ValueError
+            If the objective, a constraint coefficient or a right-hand
+            side is not finite.
         """
         if self._num_vars == 0:
             raise ValueError(f"LP '{self.name}' has no variables")
@@ -250,23 +293,97 @@ class LinearProgram:
         obs_metrics.histogram(
             f"lp.constraints.{self.name}").observe(self.num_constraints)
         obs_metrics.histogram(f"lp.nnz.{self.name}").observe(self.nnz)
+        n = self._num_vars
         c = np.asarray(self._obj, dtype=float)
         if self.maximize:
             c = -c
-        n = self._num_vars
         a_ub, b_ub, a_eq, b_eq = self.matrices()
-        bounds = np.column_stack([self._lb, self._ub])
-        res = _scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                             bounds=bounds, method="highs")
-        if not res.success:
+        for what, values in (("objective", c),
+                             ("<= coefficients", None if a_ub is None
+                              else a_ub.data),
+                             ("<= right-hand sides", b_ub),
+                             ("== coefficients", None if a_eq is None
+                              else a_eq.data),
+                             ("== right-hand sides", b_eq)):
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(
+                    f"LP '{self.name}': {what} must not contain inf or nan")
+        b_ub = np.empty(0) if b_ub is None else b_ub
+        b_eq = np.empty(0) if b_eq is None else b_eq
+        # a NaN bound means "no bound", as linprog reads it
+        lb = np.asarray(self._lb, dtype=float)
+        ub = np.asarray(self._ub, dtype=float)
+        lb[np.isnan(lb)] = -np.inf
+        ub[np.isnan(ub)] = np.inf
+        rhs = np.concatenate((b_ub, b_eq))
+
+        blocks = [a for a in (a_ub, a_eq) if a is not None]
+        if not blocks:
+            a = sparse.csc_matrix((0, n))
+        elif len(blocks) == 1:
+            a = blocks[0].tocsc()
+        else:
+            a = sparse.vstack(blocks, format="csc")
+        model = highs.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = n
+        model.num_row_ = model.a_matrix_.num_row_ = rhs.size
+        model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        model.a_matrix_.start_ = a.indptr
+        model.a_matrix_.index_ = a.indices
+        model.a_matrix_.value_ = a.data
+        del a  # HighsLp holds its own copy
+        model.col_cost_ = c
+        model.col_lower_ = lb
+        model.col_upper_ = ub
+        model.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+        model.row_upper_ = rhs
+        solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+        loaded = solver.passModel(model) != highs.HighsStatus.kError
+        del model  # so is the solver
+        ran = loaded and solver.run() != highs.HighsStatus.kError
+        model_status = (solver.getModelStatus() if loaded
+                        else _STATUS.kModelError)
+        detail = solver.modelStatusToString(model_status)
+        x = obj = None
+        if ran and model_status == _STATUS.kOptimal:
+            solution = solver.getSolution()
+            x = np.array(solution.col_value)
+            row_value = np.array(solution.row_value)
+            obj = solver.getInfo().objective_function_value
+        elif ran:
+            detail = (f"model_status is {detail}; primal_status is "
+                      + solver.solutionStatusToString(
+                          solver.getInfo().primal_solution_status))
+        status, message = _STATUS_CODES.get(
+            model_status, (4, "The HiGHS status code was not recognized. "))
+        message = f"{message}(HiGHS Status {int(model_status)}: {detail})"
+        if x is not None and not self._feasible(x, obj, rhs - row_value,
+                                                b_ub.size, lb, ub):
+            status = 4
+            message = (f"The solution does not satisfy the constraints "
+                       f"within the required tolerance of "
+                       f"{_FEASIBILITY_TOL:.2E}.")
+        if status != 0:
             obs_metrics.counter(f"lp.infeasible.{self.name}").inc()
             if require_feasible:
                 raise InfeasibleError(
-                    f"LP '{self.name}' failed: {res.message} (status {res.status})")
+                    f"LP '{self.name}' failed: {message} (status {status})")
             return LPSolution(x=np.full(n, np.nan), objective=np.nan,
-                              status=int(res.status))
-        obj = float(res.fun)
+                              status=status)
+        obj = float(obj)
         if self.maximize:
             obj = -obj
-        return LPSolution(x=np.asarray(res.x, dtype=float), objective=obj,
-                          status=int(res.status))
+        return LPSolution(x=x, objective=obj, status=status)
+
+    @staticmethod
+    def _feasible(x: np.ndarray, obj: float, slack: np.ndarray, n_ub: int,
+                  lb: np.ndarray, ub: np.ndarray) -> bool:
+        """``linprog``'s check: bounds, ``<=`` slacks and ``==`` residuals
+        hold within :data:`_FEASIBILITY_TOL`."""
+        if np.isnan(x).any() or np.isnan(obj) or np.isnan(slack).any():
+            return False
+        tol = _FEASIBILITY_TOL
+        return bool(np.all(x >= lb - tol) and np.all(x <= ub + tol)
+                    and not (slack[:n_ub] < -tol).any()
+                    and not (np.abs(slack[n_ub:]) > tol).any())

@@ -197,3 +197,82 @@ class TestSolve:
                                    ({x[0]: 1, x[2]: 1}, 5.0),
                                    ({x[1]: 1, x[3]: 1}, 5.0)], 4))
         assert lp.solve().objective == pytest.approx(10.0)
+
+
+class TestInputChecks:
+    """A non-finite objective, coefficient or rhs is refused before
+    HiGHS sees the model, with the LP's name in the message."""
+
+    @staticmethod
+    def _lp(**bad) -> LinearProgram:
+        lp = LinearProgram(name="checked")
+        lp.add_variables(2, ub=4.0,
+                         objective=bad.get("objective", [1.0, -1.0]))
+        lp.add_le_rows(bad.get("le", [1.0, 1.0]), bad.get("le_rhs", 3.0))
+        lp.add_eq_rows(bad.get("eq", np.array([[1.0, -1.0]])),
+                       bad.get("eq_rhs", 0.5))
+        return lp
+
+    def test_finite_program_solves(self):
+        assert self._lp().solve().status == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, build", [
+        ("objective", lambda v: {"objective": [1.0, v]}),
+        ("<= coefficients", lambda v: {"le": [v, 1.0]}),
+        ("<= coefficients",
+         lambda v: {"le": sparse.csr_matrix(np.array([[1.0, v]]))}),
+        ("<= right-hand sides", lambda v: {"le_rhs": v}),
+        ("== coefficients", lambda v: {"eq": np.array([[v, 1.0]])}),
+        ("== coefficients",
+         lambda v: {"eq": sparse.csr_matrix(np.array([[v, 1.0]]))}),
+        ("== right-hand sides", lambda v: {"eq_rhs": v}),
+    ])
+    def test_non_finite_input_rejected(self, where, build, value):
+        lp = self._lp(**build(value))
+        with pytest.raises(ValueError, match=f"LP 'checked': {where}"):
+            lp.solve()
+        with pytest.raises(ValueError, match="inf or nan"):
+            lp.solve(require_feasible=False)
+
+    def test_nan_bound_is_no_bound(self):
+        """As linprog reads bounds: a NaN lower bound is -inf."""
+        lp = LinearProgram()
+        lp.add_variables(1, lb=np.nan, ub=5.0, objective=1.0)
+        lp.add_le_rows([-1.0], 3.0)
+        assert lp.solve().x.tolist() == [-3.0]
+
+
+class TestPostSolveCheck:
+    """linprog's check of the returned vertex, tolerance sqrt(1e-9)*10."""
+
+    ARGS = dict(n_ub=1, lb=np.zeros(2), ub=np.ones(2))
+
+    def test_vertex_within_tolerance_passes(self):
+        assert LinearProgram._feasible(np.array([1.0 + 1e-5, 0.0]), 1.0,
+                                       np.array([-1e-5, 1e-5]), **self.ARGS)
+
+    @pytest.mark.parametrize("x, obj, slack", [
+        ([1.01, 0.0], 1.0, [0.0, 0.0]),           # upper bound
+        ([0.0, -0.01], 1.0, [0.0, 0.0]),          # lower bound
+        ([0.5, 0.5], 1.0, [-0.01, 0.0]),          # <= slack
+        ([0.5, 0.5], 1.0, [0.0, 0.01]),           # == residual
+        ([0.5, 0.5], 1.0, [0.0, -0.01]),          # == residual
+        ([0.5, np.nan], 1.0, [0.0, 0.0]),
+        ([0.5, 0.5], np.nan, [0.0, 0.0]),
+        ([0.5, 0.5], 1.0, [np.nan, 0.0]),
+    ])
+    def test_violation_fails(self, x, obj, slack):
+        assert not LinearProgram._feasible(np.array(x), obj, np.array(slack),
+                                           **self.ARGS)
+
+    def test_failed_check_is_status_4(self, monkeypatch):
+        from repro.optimize import linprog
+
+        monkeypatch.setattr(linprog, "_FEASIBILITY_TOL", -1.0)
+        lp = LinearProgram(name="checked", maximize=True)
+        lp.add_variables(1, ub=2.0, objective=1.0)
+        with pytest.raises(InfeasibleError, match=r"checked.*\(status 4\)"):
+            lp.solve()
+        sol = lp.solve(require_feasible=False)
+        assert sol.status == 4 and np.isnan(sol.objective)
