@@ -14,25 +14,25 @@ Usage::
     python -m repro lint src/                 # via the main CLI
     python -m repro.lint src/ --format json   # standalone
 
-Rules come in two tiers sharing one registry of stable ``RL0xx`` codes:
-per-file :class:`~repro.lint.base.RuleVisitor` subclasses and
-whole-program :class:`~repro.lint.base.ProjectRule` dataflow analyses
-(unit-dimension flow, determinism taint tracking) driven by the interpreter in :mod:`repro.lint.dataflow`.
+Every rule is a per-file :class:`~repro.lint.base.RuleVisitor` with a
+stable ``RL0xx`` code; RL030-RL049 stay reserved for the retired
+whole-program rules and are never reused.  The determinism contract
+across files (keys, digests and sweep output independent of
+``PYTHONHASHSEED``) is checked at run time by the hash-seed subprocess
+tests in ``tests/experiments/test_engine.py``.
 Findings can be suppressed per logical line
 (``# repro-lint: disable=RL001``) or grandfathered in a committed
 baseline file (``lint-baseline.json``) with a written reason.
 """
 
-from repro.lint.base import (FileContext, LintConfig,
-                             ProjectRule, RuleVisitor, all_rules,
-                             get_rule, load_span_taxonomy, register,
-                             rule_catalog)
+from repro.lint.base import (FileContext, LintConfig, RuleVisitor,
+                             all_rules, get_rule, load_span_taxonomy,
+                             register, rule_catalog)
 from repro.lint.baseline import (Baseline, load_baseline,
                                  normalize_context, write_baseline)
 from repro.lint.engine import iter_python_files, lint_paths, select_rules
 from repro.lint.findings import Finding, LintReport
 from repro.lint.output import render_github, render_json, render_text
-from repro.lint.project import Project, build_project
 from repro.lint.suppress import Suppressions, parse_suppressions
 
 __all__ = [
@@ -41,12 +41,9 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintReport",
-    "Project",
-    "ProjectRule",
     "RuleVisitor",
     "Suppressions",
     "all_rules",
-    "build_project",
     "normalize_context",
     "get_rule",
     "iter_python_files",

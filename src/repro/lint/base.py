@@ -17,10 +17,8 @@ from typing import ClassVar, Iterator
 from repro.lint.findings import Finding
 
 __all__ = [
-    "DEFAULT_SPAN_TAXONOMY",
     "FileContext",
     "LintConfig",
-    "ProjectRule",
     "RuleVisitor",
     "all_rules",
     "get_rule",
@@ -30,14 +28,6 @@ __all__ = [
 ]
 
 _CODE_RE = re.compile(r"^RL\d{3}$")
-
-#: Span-name segments documented in ``docs/OBSERVABILITY.md`` — the
-#: fallback when the doc cannot be located at lint time.  Dotted span
-#: paths are validated segment by segment.
-DEFAULT_SPAN_TAXONOMY: frozenset[str] = frozenset({
-    "three_stage", "stage1", "stage2", "stage3", "lp", "des_replay",
-    "transient_guard", "transient", "interval", "replan",
-})
 
 #: Physical constants that must come from :mod:`repro.units`, keyed by
 #: their float value.
@@ -55,7 +45,8 @@ class LintConfig:
     Attributes
     ----------
     span_taxonomy:
-        Allowed span-name segments (RL022).
+        Allowed span-name segments (RL022); empty when no span table
+        was found, which disables the rule.
     wallclock_allow:
         POSIX path fragments where wall-clock reads are legitimate —
         the observability layer measures wall time by design (RL004).
@@ -64,18 +55,13 @@ class LintConfig:
         implementation itself).
     physical_constants:
         ``float value -> canonical symbol`` map for RL010.
-    taint_source_allow:
-        POSIX path fragments whose *sources* the taint analysis
-        ignores — the observability layer reads the wall clock by
-        design and its outputs are not cache inputs (RL040).
     """
 
-    span_taxonomy: frozenset[str] = DEFAULT_SPAN_TAXONOMY
+    span_taxonomy: frozenset[str] = frozenset()
     wallclock_allow: tuple[str, ...] = ("repro/obs/",)
     span_rule_skip: tuple[str, ...] = ("repro/obs/",)
     physical_constants: dict[float, str] = field(
         default_factory=lambda: dict(PHYSICAL_CONSTANTS))
-    taint_source_allow: tuple[str, ...] = ("repro/obs/",)
 
 
 _SPAN_SECTION_RE = re.compile(
@@ -88,32 +74,31 @@ def load_span_taxonomy(start: Path) -> frozenset[str]:
 
     Walks up from ``start`` looking for ``docs/OBSERVABILITY.md`` and
     collects every backtick-quoted name in the first column of the
-    "Span taxonomy" table, split into dot segments.  Falls back to
-    :data:`DEFAULT_SPAN_TAXONOMY` when the doc is missing or the
-    section cannot be parsed — the lint must not *require* the doc.
+    "Span taxonomy" table, split into dot segments.  Returns an empty
+    set when the doc is missing or the section cannot be parsed: the
+    doc is the only copy of the table, and RL022 does not run without
+    it — the lint must not *require* the doc.
     """
-    candidate = None
     node = start.resolve()
     if node.is_file():
         node = node.parent
     for ancestor in (node, *node.parents):
         doc = ancestor / "docs" / "OBSERVABILITY.md"
         if doc.is_file():
-            candidate = doc
             break
-    if candidate is None:
-        return DEFAULT_SPAN_TAXONOMY
+    else:
+        return frozenset()
     try:
-        text = candidate.read_text(encoding="utf-8")
+        text = doc.read_text(encoding="utf-8")
     except OSError:
-        return DEFAULT_SPAN_TAXONOMY
+        return frozenset()
     section = _SPAN_SECTION_RE.search(text)
     if section is None:
-        return DEFAULT_SPAN_TAXONOMY
+        return frozenset()
     segments: set[str] = set()
     for dotted in _SPAN_NAME_RE.findall(section.group(1)):
         segments.update(dotted.split("."))
-    return frozenset(segments) if segments else DEFAULT_SPAN_TAXONOMY
+    return frozenset(segments)
 
 
 @dataclass
@@ -151,9 +136,6 @@ class RuleVisitor(ast.NodeVisitor):
     name: ClassVar[str] = "abstract-rule"
     category: ClassVar[str] = "none"
     description: ClassVar[str] = ""
-    #: Which ``--analysis`` tier runs this rule: per-file AST rules are
-    #: ``"ast"``; whole-program dataflow rules are ``"dataflow"``.
-    analysis_kind: ClassVar[str] = "ast"
 
     def __init__(self, ctx: FileContext, config: LintConfig) -> None:
         self.ctx = ctx
@@ -181,58 +163,14 @@ class RuleVisitor(ast.NodeVisitor):
         return self.findings
 
 
-class ProjectRule:
-    """Base class for one whole-program dataflow rule (RL03x-RL04x).
-
-    Where :class:`RuleVisitor` sees one file, a project rule sees the
-    :class:`~repro.lint.project.Project` — every linted module parsed
-    into a symbol table — and reports findings anywhere in it.
-    Subclasses implement :meth:`check`; :meth:`report` anchors findings
-    to a module+line and may attach the source→sink ``trace`` chain.
-    """
-
-    code: ClassVar[str] = "RL000"
-    name: ClassVar[str] = "abstract-project-rule"
-    category: ClassVar[str] = "none"
-    description: ClassVar[str] = ""
-    analysis_kind: ClassVar[str] = "dataflow"
-
-    def __init__(self, project: "object", config: LintConfig) -> None:
-        self.project = project
-        self.config = config
-        self.findings: list[Finding] = []
-
-    def report(self, module: "object", node: ast.AST, message: str,
-               trace: tuple[str, ...] = ()) -> None:
-        """Record a finding at ``node``'s position in ``module``."""
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
-        self.findings.append(Finding(
-            path=module.rel_path, line=lineno, col=col,      # type: ignore[attr-defined]
-            code=self.code, rule=self.name, message=message,
-            context=module.line_text(lineno),                # type: ignore[attr-defined]
-            trace=trace))
-
-    def check(self) -> None:
-        raise NotImplementedError
-
-    def run(self) -> list[Finding]:
-        self.check()
-        self.findings.sort()
-        return self.findings
-
-
 _REGISTRY: dict[str, type] = {}
 
 
 def register(cls: type) -> type:
     """Class decorator adding a rule to the global registry.
 
-    Accepts both per-file :class:`RuleVisitor` and whole-program
-    :class:`ProjectRule` subclasses; the engine partitions by
-    ``analysis_kind``.  Codes are the stable public contract
-    (suppressions and baselines refer to them), so duplicates and
-    malformed codes are hard errors.
+    Codes are the stable public contract (suppressions and baselines
+    refer to them), so duplicates and malformed codes are hard errors.
     """
     if not _CODE_RE.match(cls.code):
         raise ValueError(f"rule code {cls.code!r} must match RL0xx")
@@ -245,7 +183,7 @@ def register(cls: type) -> type:
 
 
 def all_rules() -> list[type]:
-    """Every registered rule (AST and dataflow), ordered by code."""
+    """Every registered rule, ordered by code."""
     _ensure_loaded()
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from repro.lint.base import (LintConfig, load_span_taxonomy, rule_catalog)
 from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.engine import ANALYSES, lint_paths, select_rules
+from repro.lint.engine import lint_paths, select_rules
 from repro.lint.output import render_github, render_json, render_text
 
 __all__ = ["add_lint_arguments", "main", "run_lint_command"]
@@ -41,15 +41,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "exclusively (e.g. RL001,RL002)")
     parser.add_argument("--ignore", type=str, default=None,
                         help="comma-separated rule codes to skip")
-    parser.add_argument("--analysis", choices=ANALYSES, default="all",
-                        help="analysis tier: per-file 'ast' rules, "
-                             "whole-program 'dataflow' rules, or 'all' "
-                             "(default)")
     parser.add_argument("--since", metavar="REV", default=None,
-                        help="report findings only in files changed "
-                             "since REV (git diff --name-only REV, plus "
-                             "untracked files); the dataflow project "
-                             "still sees the whole tree")
+                        help="lint only the files changed since REV "
+                             "(git diff --name-only REV, plus untracked "
+                             "files)")
     parser.add_argument("--write-baseline", action="store_true",
                         help="write every current finding to the "
                              "baseline file and exit 0 (adoption "
@@ -119,8 +114,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
             return 2
     try:
         report = lint_paths(list(args.paths), rules=rules, config=config,
-                            baseline=baseline, analysis=args.analysis,
-                            restrict_to=restrict_to)
+                            baseline=baseline, restrict_to=restrict_to)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

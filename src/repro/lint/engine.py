@@ -3,14 +3,8 @@
 Deterministic by construction: files are visited in sorted order, rules
 in code order, findings sorted before output — the same tree always
 produces byte-identical reports (the property this linter exists to
-protect in the code it checks).
-
-Two analysis tiers share one parse of each file: the per-file AST rules
-(``analysis_kind == "ast"``) run file by file; the whole-program
-dataflow rules (``"dataflow"``) run once over a
-:class:`~repro.lint.project.Project` assembled from the same parsed
-trees.  ``--since REV`` narrows *reporting* to changed files while the
-project (and therefore cross-file propagation) still sees everything.
+protect in the code it checks).  ``--since REV`` narrows the run to
+the changed files: only those are parsed and reported.
 """
 
 from __future__ import annotations
@@ -19,19 +13,15 @@ import ast
 import os
 from pathlib import Path, PurePosixPath
 
-from repro.lint.base import FileContext, LintConfig, RuleVisitor, all_rules
+from repro.lint.base import FileContext, LintConfig, all_rules
 from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding, LintReport
-from repro.lint.project import build_project
-from repro.lint.suppress import Suppressions, parse_suppressions
+from repro.lint.suppress import parse_suppressions
 
 __all__ = ["iter_python_files", "lint_paths", "select_rules"]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".repro-cache", ".venv", "venv",
               "build", "dist", "node_modules"}
-
-#: Valid ``--analysis`` values.
-ANALYSES = ("ast", "dataflow", "all")
 
 
 def iter_python_files(paths: list[str | Path]) -> list[Path]:
@@ -85,90 +75,54 @@ def _rel_posix(path: Path) -> str:
     return str(PurePosixPath(rel))
 
 
-def _parse_file(path: Path) -> tuple[FileContext | None, Finding | None]:
-    """Parse one file once for both analysis tiers."""
+def _parse_file(path: Path) -> FileContext | Finding:
+    """Parse one file, or explain why it cannot be parsed."""
     rel = _rel_posix(path)
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return None, Finding(path=rel, line=1, col=1, code="RL000",
-                             rule="parse-error",
-                             message=f"cannot read file: {exc}")
+        return Finding(path=rel, line=1, col=1, code="RL000",
+                       rule="parse-error",
+                       message=f"cannot read file: {exc}")
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return None, Finding(path=rel, line=exc.lineno or 1,
-                             col=(exc.offset or 0) + 1, code="RL000",
-                             rule="parse-error",
-                             message=f"syntax error: {exc.msg}")
+        return Finding(path=rel, line=exc.lineno or 1,
+                       col=(exc.offset or 0) + 1, code="RL000",
+                       rule="parse-error",
+                       message=f"syntax error: {exc.msg}")
     return FileContext(path=path, rel_path=rel, source=source,
-                       lines=source.splitlines(), tree=tree), None
+                       lines=source.splitlines(), tree=tree)
 
 
 def lint_paths(paths: list[str | Path], *,
                rules: list[type] | None = None,
                config: LintConfig | None = None,
                baseline: Baseline | None = None,
-               analysis: str = "all",
                restrict_to: set[str] | None = None) -> LintReport:
     """Lint every Python file under ``paths`` and build the report.
 
-    ``analysis`` picks the tier(s): ``"ast"`` (per-file rules),
-    ``"dataflow"`` (whole-program rules) or ``"all"``.  ``restrict_to``,
-    when given, is a set of resolved POSIX paths (``--since``): every
-    file is still parsed — the dataflow project must see the whole tree
-    — but only findings in those files are reported.
+    ``restrict_to``, when given, is a set of resolved POSIX paths
+    (``--since``): only those files are parsed and reported.
     """
-    if analysis not in ANALYSES:
-        raise ValueError(f"unknown analysis {analysis!r}; "
-                         f"expected one of {', '.join(ANALYSES)}")
     rules = all_rules() if rules is None else rules
     config = config or LintConfig()
-    ast_rules = [cls for cls in rules
-                 if getattr(cls, "analysis_kind", "ast") == "ast"]
-    project_rules = [cls for cls in rules
-                     if getattr(cls, "analysis_kind", "ast") == "dataflow"]
-    if analysis == "ast":
-        project_rules = []
-    elif analysis == "dataflow":
-        ast_rules = []
 
     report = LintReport()
     raw: list[Finding] = []
-    parsed: list[tuple[FileContext, Suppressions, bool]] = []
     for path in iter_python_files(paths):
-        included = (restrict_to is None
-                    or str(path.resolve().as_posix()) in restrict_to)
-        if included:
-            report.files_checked += 1
-        ctx, parse_error = _parse_file(path)
-        if ctx is None:
-            if included and parse_error is not None:
-                raw.append(parse_error)
+        if restrict_to is not None \
+                and str(path.resolve().as_posix()) not in restrict_to:
+            continue
+        report.files_checked += 1
+        ctx = _parse_file(path)
+        if isinstance(ctx, Finding):
+            raw.append(ctx)
             continue
         suppressions = parse_suppressions(ctx.source)
-        parsed.append((ctx, suppressions, included))
-        if not included:
-            continue
-        for cls in ast_rules:
+        for cls in rules:
             for finding in cls(ctx, config).run():
                 if suppressions.is_suppressed(finding.code, finding.line):
-                    report.suppressed.append(finding)
-                else:
-                    raw.append(finding)
-
-    if project_rules and parsed:
-        project = build_project([ctx for ctx, _, _ in parsed])
-        by_path = {ctx.rel_path: (suppressions, included)
-                   for ctx, suppressions, included in parsed}
-        for cls in project_rules:
-            for finding in cls(project, config).run():
-                suppressions, included = by_path.get(
-                    finding.path, (None, True))
-                if not included:
-                    continue
-                if suppressions is not None and suppressions.is_suppressed(
-                        finding.code, finding.line):
                     report.suppressed.append(finding)
                 else:
                     raw.append(finding)

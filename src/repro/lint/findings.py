@@ -31,10 +31,6 @@ class Finding:
     context:
         The stripped source line — the key baselines match on, so
         grandfathered findings survive unrelated line-number drift.
-    trace:
-        For dataflow findings (RL03x/RL04x): the full
-        source → propagation → sink chain, one ``path:line: event``
-        step per element.  Empty for per-statement AST findings.
     """
 
     path: str
@@ -44,7 +40,6 @@ class Finding:
     rule: str
     message: str
     context: str = ""
-    trace: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -55,7 +50,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "context": self.context,
-            "trace": list(self.trace),
         }
 
 
@@ -85,7 +79,7 @@ class LintReport:
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "schema": 2,
+            "schema": 3,
             "ok": self.ok,
             "files_checked": self.files_checked,
             "findings": [f.to_dict() for f in sorted(self.findings)],

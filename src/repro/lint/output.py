@@ -10,17 +10,9 @@ __all__ = ["render_github", "render_json", "render_text"]
 
 
 def render_text(report: LintReport) -> str:
-    """Compiler-style ``path:line:col: CODE message`` lines + summary.
-
-    Dataflow findings print their source → propagation → sink chain
-    indented under the finding, one hop per line.
-    """
-    lines: list[str] = []
-    for f in report.findings:
-        lines.append(
-            f"{f.path}:{f.line}:{f.col}: {f.code} {f.message} [{f.rule}]")
-        for step in f.trace:
-            lines.append(f"    trace: {step}")
+    """Compiler-style ``path:line:col: CODE message`` lines + summary."""
+    lines = [f"{f.path}:{f.line}:{f.col}: {f.code} {f.message} [{f.rule}]"
+             for f in report.findings]
     summary = (f"{len(report.findings)} finding"
                f"{'' if len(report.findings) == 1 else 's'} "
                f"({report.files_checked} files checked, "
@@ -53,14 +45,9 @@ def _escape_annotation(text: str) -> str:
 
 def render_github(report: LintReport) -> str:
     """``::error`` workflow commands — inline PR annotations in Actions."""
-    lines = []
-    for f in report.findings:
-        message = f.message
-        if f.trace:
-            message += "\n" + "\n".join(f"trace: {s}" for s in f.trace)
-        lines.append(
-            f"::error file={f.path},line={f.line},col={f.col},"
-            f"title={f.code} {f.rule}::{_escape_annotation(message)}")
+    lines = [f"::error file={f.path},line={f.line},col={f.col},"
+             f"title={f.code} {f.rule}::{_escape_annotation(f.message)}"
+             for f in report.findings]
     lines.append(f"{len(lines)} findings / "
                  f"{report.files_checked} files")
     return "\n".join(lines)

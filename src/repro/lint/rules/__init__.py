@@ -3,14 +3,14 @@
 Codes are grouped by category and never reused:
 
 * ``RL000``           — reserved: file could not be parsed
-* ``RL001``-``RL009`` — determinism (per-file AST)
-* ``RL010``-``RL019`` — physics / units (per-file AST)
-* ``RL020``-``RL029`` — hygiene (per-file AST)
-* ``RL030``-``RL039`` — unit-dimension dataflow
-* ``RL040``-``RL049`` — determinism taint dataflow
+* ``RL001``-``RL009`` — determinism
+* ``RL010``-``RL019`` — physics / units
+* ``RL020``-``RL029`` — hygiene
+* ``RL030``-``RL049`` — reserved: the retired whole-program unit-flow
+  (RL030/RL031) and determinism-taint (RL040) rules; never reused, so
+  an old suppression or baseline entry cannot silence a new rule
 """
 
-from repro.lint.rules import (determinism, hygiene, physics, taint,
-                              unitflow)
+from repro.lint.rules import determinism, hygiene, physics
 
-__all__ = ["determinism", "hygiene", "physics", "taint", "unitflow"]
+__all__ = ["determinism", "hygiene", "physics"]

@@ -1,21 +1,44 @@
-"""AST helpers shared by the rule implementations.
-
-The naming helpers live in :mod:`repro.lint.project` (the project model
-needs them without importing the rules package); they are re-exported
-here because every per-file rule historically imports them from this
-module.
-"""
+"""AST helpers shared by the rule implementations."""
 
 from __future__ import annotations
 
 import ast
 from typing import Iterator
 
-from repro.lint.project import (dotted_name, imported_modules,
-                                imported_names)
-
 __all__ = ["dotted_name", "imported_modules", "imported_names",
            "walk_identifiers"]
+
+
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def imported_modules(tree: ast.Module) -> dict[str, str]:
+    """``local alias -> module`` for every ``import`` in the file."""
+    out: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = alias.name
+    return out
+
+
+def imported_names(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """``local alias -> (module, name)`` for every ``from m import n``."""
+    out: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                out[alias.asname or alias.name] = (node.module, alias.name)
+    return out
 
 
 def walk_identifiers(node: ast.AST) -> Iterator[str]:

@@ -116,7 +116,9 @@ class SpanTaxonomy(RuleVisitor):
         "name")
 
     def skip_file(self) -> bool:
-        return self.ctx.path_matches(self.config.span_rule_skip)
+        # no span table found above the linted path: nothing to check
+        return (not self.config.span_taxonomy
+                or self.ctx.path_matches(self.config.span_rule_skip))
 
     @staticmethod
     def _is_span_call(node: ast.Call) -> bool:

@@ -472,13 +472,9 @@ class HeatFlowModel:
             self._censored[key] = self._censored.pop(key)
             self.censored_cache_hits += 1
             obs_metrics.counter("thermal.censored_cache_hits").inc()
-            obs_metrics.gauge("thermal.censored_memo_hits").set(
-                float(self.censored_cache_hits))
             return cached
         self.censored_rebuilds += 1
         obs_metrics.counter("thermal.censored_rebuilds").inc()
-        obs_metrics.gauge("thermal.censored_memo_rebuilds").set(
-            float(self.censored_rebuilds))
         dead_units = self.n_crac + dead
         keep = np.setdiff1d(np.arange(self.n_units), dead_units)
         a = self.alpha

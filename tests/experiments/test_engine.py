@@ -1,7 +1,11 @@
 """Tests for repro.experiments.engine — workers, caching, fault tolerance."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,27 @@ def _fake_run(scenario, baseline=100.0):
 
 def _double(x):
     return 2 * x
+
+
+#: ``PYTHONHASHSEED`` values the subprocess determinism checks run under.
+HASH_SEEDS = ("0", "7", "31337")
+
+
+def _stdout_under_hash_seeds(argv, *, seeds=HASH_SEEDS, cwd=None) -> set:
+    """The distinct stdouts of ``python argv``, once per hash seed.
+
+    Hash randomization is fixed at interpreter start-up, so only a fresh
+    process per seed can show that an output does not depend on it; a
+    result of one element means it does not.
+    """
+    src = str(Path(engine_mod.__file__).parents[2])
+    outputs = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                             capture_output=True, text=True, check=True)
+        outputs.add(out.stdout)
+    return outputs
 
 
 class TestCacheKey:
@@ -67,12 +92,6 @@ class TestCacheKey:
     def test_frozenset_digest_stable_across_hash_seeds(self):
         """Subprocess check: frozenset-bearing keys are
         PYTHONHASHSEED-proof end to end (sets were already covered)."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(engine_mod.__file__).parents[2])
         code = (
             "from dataclasses import dataclass\n"
             "from repro.experiments.engine import cache_key\n"
@@ -82,14 +101,7 @@ class TestCacheKey:
             "    tags: frozenset = frozenset('abcdefgh')\n"
             "    nested: tuple = ((1.0, 2.0), (3.0,))\n"
             "print(cache_key(C(), 3))\n")
-        digests = set()
-        for seed in ("0", "7", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            out = subprocess.run([sys.executable, "-c", code], env=env,
-                                 capture_output=True, text=True,
-                                 check=True)
-            digests.add(out.stdout.strip())
-        assert len(digests) == 1
+        assert len(_stdout_under_hash_seeds(["-c", code])) == 1
 
 
 class TestEngineConfig:
@@ -355,25 +367,15 @@ class TestCanonicalJson:
 
     def test_stable_across_hash_seeds(self):
         """The digest of a set-bearing payload is PYTHONHASHSEED-proof."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(engine_mod.__file__).parents[2])
         code = (
             "import hashlib\n"
             "from repro.experiments.engine import canonical_json\n"
             "payload = {'members': set('abcdefghij'), 'n': 3}\n"
             "print(hashlib.sha256("
             "canonical_json(payload).encode()).hexdigest())\n")
-        digests = []
-        for seed in ("0", "1", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            out = subprocess.run([sys.executable, "-c", code], env=env,
-                                 capture_output=True, text=True, check=True)
-            digests.append(out.stdout.strip())
-        assert len(set(digests)) == 1
+        digests = _stdout_under_hash_seeds(["-c", code],
+                                           seeds=("0", "1", "424242"))
+        assert len(digests) == 1
 
     def test_cache_key_unchanged_for_plain_config(self):
         # the canonicalization must be a no-op for JSON-native payloads:
@@ -390,3 +392,47 @@ class TestCanonicalJson:
             json.dumps(payload, sort_keys=True,
                        default=list).encode()).hexdigest()
         assert cache_key(TINY, 7) == legacy
+
+
+class TestHashSeedInvariance:
+    """Keys, digests and sweep output are the same under every
+    ``PYTHONHASHSEED``: the runtime form of the determinism contract.
+
+    Each check runs the code in a fresh interpreter per hash seed, so a
+    hash-ordered ``set``/``frozenset`` reaching a digest or a JSON
+    document (the cache-split defect ``canonical_json`` exists to
+    prevent) shows up as more than one distinct output.
+    """
+
+    def test_point_key_frozenset_config(self):
+        code = (
+            "from dataclasses import dataclass\n"
+            "from repro.experiments.engine import point_key\n"
+            "@dataclass(frozen=True)\n"
+            "class C:\n"
+            "    n_nodes: int = 6\n"
+            "    tags: frozenset = frozenset('abcdefgh')\n"
+            "print(point_key('sweep', C(), {'factor': 1.0}))\n")
+        assert len(_stdout_under_hash_seeds(["-c", code])) == 1
+
+    def test_compute_digests_seeded_room(self):
+        code = (
+            "from repro.core.api import SolveOptions\n"
+            "from repro.core.warmstart import compute_digests\n"
+            "from repro.experiments.config import PAPER_SET_1, "
+            "scaled_down\n"
+            "from repro.experiments.generator import generate_scenario\n"
+            "room = generate_scenario(scaled_down(PAPER_SET_1, 6), 1)\n"
+            "print(compute_digests(room.datacenter, room.workload, "
+            "room.p_const, SolveOptions()))\n")
+        assert len(_stdout_under_hash_seeds(["-c", code])) == 1
+
+    def test_tournament_json(self, tmp_path):
+        # two backends, so the order of the points is part of the output
+        argv = ["-m", "repro", "tournament", "--nodes", "6",
+                "--seed", "1000", "--backends", "annealing,evolution",
+                "--max-evals", "40", "--json"]
+        outputs = _stdout_under_hash_seeds(argv, cwd=tmp_path)
+        assert len(outputs) == 1
+        points = json.loads(outputs.pop())["points"]
+        assert [p["backend"] for p in points] == ["annealing", "evolution"]

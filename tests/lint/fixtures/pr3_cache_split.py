@@ -3,7 +3,7 @@
 ``json.dumps(..., default=list)`` serialized ``set`` members in
 iteration order, so equal configs hashed to different cache keys under
 different ``PYTHONHASHSEED`` values — silently splitting the experiment
-cache across processes.  RL040 must flag the set reaching the digest;
+cache across processes.  RL002 must flag the ``default=list`` dump;
 CI runs this fixture as a permanent regression check.
 """
 

@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, lint_paths, select_rules
+from repro.lint import (LintConfig, lint_paths, load_span_taxonomy,
+                        select_rules)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The span taxonomy comes from the repo's docs/OBSERVABILITY.md table.
+CONFIG = LintConfig(span_taxonomy=load_span_taxonomy(FIXTURES))
 
 #: code -> expected 1-based lines in the matching ``<code>_bad.py``.
 EXPECTED = {
@@ -20,10 +24,6 @@ EXPECTED = {
     "RL020": [7, 14],
     "RL021": [4, 9, 14],
     "RL022": [7, 8],
-    # dataflow tier: interprocedural rules still pin exact lines
-    "RL030": [9, 10, 12],
-    "RL031": [5, 6],
-    "RL040": [17, 22, 22],      # line 22 reaches two distinct sinks
 }
 
 
@@ -31,7 +31,7 @@ def _lint_fixture(name: str, code: str):
     path = FIXTURES / name
     assert path.exists(), f"missing fixture {name}"
     rules = select_rules(select=[code])
-    return lint_paths([path], rules=rules, config=LintConfig())
+    return lint_paths([path], rules=rules, config=CONFIG)
 
 
 @pytest.mark.parametrize("code", sorted(EXPECTED))
@@ -47,7 +47,7 @@ class TestGoldenPairs:
 
     def test_bad_fixture_fails_under_full_rule_set(self, code):
         report = lint_paths([FIXTURES / f"{code.lower()}_bad.py"],
-                            config=LintConfig())
+                            config=CONFIG)
         assert {f.code for f in report.findings} >= {code}
 
 
@@ -65,6 +65,14 @@ class TestPr3BugClass:
     def test_direct_set_payload_is_flagged(self):
         report = _lint_fixture("rl002_bad.py", "RL002")
         assert any(f.line == 19 for f in report.findings)
+
+    def test_cache_split_fixture_is_flagged(self):
+        """The preserved cache-split shape (a set dumped with
+        ``default=list`` into a cache key) is caught by the per-file
+        rule; CI gates on this exact line."""
+        report = _lint_fixture("pr3_cache_split.py", "RL002")
+        assert [(f.code, f.line) for f in report.findings] \
+            == [("RL002", 20)]
 
 
 class TestMetaheuristicPattern:

@@ -299,7 +299,8 @@ class TestCensoredCache:
 
 
 class TestCensoredMemoGauges:
-    """Instance counters + gauges for the ``without_nodes`` memo."""
+    """Instance counters, per-run counters and the size gauge of the
+    ``without_nodes`` memo."""
 
     def test_instance_counters_track_lifetime(self, small_dc):
         model = small_dc.thermal
@@ -317,13 +318,19 @@ class TestCensoredMemoGauges:
 
         model = small_dc.thermal
         model._censored.clear()
+        rebuilds0 = model.censored_rebuilds
+        hits0 = model.censored_cache_hits
         with obs.capture() as snapshot:
             model.without_nodes([1, 4])
             model.without_nodes([1, 4])
         metrics = snapshot()["metrics"]
-        assert metrics["thermal.censored_memo_rebuilds"]["value"] \
-            == float(model.censored_rebuilds)
-        assert metrics["thermal.censored_memo_hits"]["value"] \
-            == float(model.censored_cache_hits)
+        # the counters cover this capture only; the attributes are the
+        # instance's lifetime totals
+        assert metrics["thermal.censored_rebuilds"]["value"] \
+            == model.censored_rebuilds - rebuilds0
+        assert metrics["thermal.censored_cache_hits"]["value"] \
+            == model.censored_cache_hits - hits0
+        assert "thermal.censored_memo_hits" not in metrics
+        assert "thermal.censored_memo_rebuilds" not in metrics
         assert metrics["thermal.censored_memo_size"]["value"] \
             == float(len(model._censored))
