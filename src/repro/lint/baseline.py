@@ -93,12 +93,21 @@ class Baseline:
             return True
         return False
 
-    def stale_entries(self) -> list[dict[str, str]]:
-        """Entries that matched no finding this run (fixed meanwhile)."""
+    def stale_entries(self, codes: set[str] | None = None,
+                      paths: set[str] | None = None
+                      ) -> list[dict[str, str]]:
+        """Entries that matched no finding this run (fixed meanwhile).
+
+        ``codes`` and ``paths``, when given, limit the verdict to entries
+        of those rules and files: the ones the run actually checked.
+        """
         leftover = self._budget - self._used
         stale: list[dict[str, str]] = []
         seen: Counter[tuple[str, str, str]] = Counter()
         for entry in self.entries:
+            if (codes is not None and entry["code"] not in codes) \
+                    or (paths is not None and entry["path"] not in paths):
+                continue
             key = self._key_of(entry)
             if seen[key] < leftover[key]:
                 seen[key] += 1

@@ -110,11 +110,13 @@ def lint_paths(paths: list[str | Path], *,
 
     report = LintReport()
     raw: list[Finding] = []
+    checked: set[str] = set()
     for path in iter_python_files(paths):
         if restrict_to is not None \
                 and str(path.resolve().as_posix()) not in restrict_to:
             continue
         report.files_checked += 1
+        checked.add(_rel_posix(path))
         ctx = _parse_file(path)
         if isinstance(ctx, Finding):
             raw.append(ctx)
@@ -132,10 +134,12 @@ def lint_paths(paths: list[str | Path], *,
             report.baselined.append(finding)
         else:
             report.findings.append(finding)
-    if baseline is not None and restrict_to is None:
-        # a --since run never sees findings outside the changed set, so
-        # their baseline entries would all read as (falsely) stale
-        report.stale_baseline = baseline.stale_entries()
+    if baseline is not None:
+        # only entries this run could have matched are judged: a rule
+        # left out by --select/--ignore, or a file outside the paths or
+        # the --since set, says nothing about whether an entry is stale
+        report.stale_baseline = baseline.stale_entries(
+            codes={"RL000"} | {cls.code for cls in rules}, paths=checked)
         report.baseline_drift = baseline.drifted_entries()
     report.findings.sort()
     report.suppressed.sort()

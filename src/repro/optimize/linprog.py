@@ -28,21 +28,60 @@ and returns the same vertex.  It keeps ``linprog``'s input checks, its
 status codes and its post-solve feasibility check, but makes none of
 ``linprog``'s copies of the constraint matrix and fetches no basis or
 bound marginals.
+
+``_core`` is loaded from scipy's ``optimize/_highspy`` directory by
+itself (:func:`_load_highs_core`) rather than imported: importing it
+runs ``scipy/optimize/__init__.py``, which loads ``scipy.linalg``,
+``scipy.special``, ``scipy.fft`` and ``scipy.spatial``, none of which
+the library calls, at ~24 MB of peak RSS and ~0.3 s of start-up per
+process.  The module is registered in ``sys.modules`` under
+its full name, so a later ``import scipy.optimize`` reuses the same
+object.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core as highs
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 
 __all__ = ["LinearProgram", "LPSolution", "InfeasibleError", "grouped_rows"]
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core(directory: str) -> ModuleType:
+    """scipy's HiGHS extension, loaded from ``directory`` by itself.
+
+    The module is registered in ``sys.modules`` under its full name, so
+    a later ``import scipy.optimize`` reuses this module object; an
+    entry already there is returned as is.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [directory])
+    if spec is None:
+        raise ImportError(f"{_HIGHS_CORE} not found in {directory}; the "
+                          "LP solver needs scipy>=1.15", name=_HIGHS_CORE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_CORE] = module
+    return module
+
+
+highs = _load_highs_core(
+    os.path.join(scipy.__path__[0], "optimize", "_highspy"))
 
 
 class InfeasibleError(RuntimeError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.thermal.heatflow import HeatFlowModel
 
@@ -96,6 +95,10 @@ def estimate_mix_matrix(measurements: list[Measurement]) -> np.ndarray:
     flow fractions).  Requires at least ``n_units`` samples for a
     well-posed fit.
     """
+    # imported here: scipy.optimize loads scipy.linalg, scipy.special and
+    # more, which no solve / serve / control path needs
+    from scipy.optimize import nnls
+
     if not measurements:
         raise ValueError("need measurements")
     x = np.stack([m.t_out for m in measurements])   # (S, N)

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from repro.kernels import vectorized
 from repro.obs import metrics as obs_metrics
@@ -210,6 +209,10 @@ class HeatFlowModel:
         #: heat capacity rate of each CRAC stream, kW/K.
         self.crac_capacity = rho * cp * flows[:n_crac]
         if backend == "sparse":
+            # imported here: scipy.sparse.linalg (and scipy.linalg with it)
+            # adds ~10 MB to an import, and dense rooms never factor
+            from scipy.sparse.linalg import splu
+
             # Mixing matrix of Eq. 5 in CSR: A = D_F^-1 alpha^T D_F.
             self.mix = (sp.diags(1.0 / flows) @ alpha.T
                         @ sp.diags(flows)).tocsr()

@@ -207,6 +207,51 @@ class TestRestrictTo:
         assert report.stale_baseline == []
 
 
+class TestStaleBaseline:
+    """A baseline entry is judged stale only when its rule ran and its
+    file was checked."""
+
+    REPO = Path(__file__).parents[2]
+
+    def _stale(self, capsys, monkeypatch, argv, baseline):
+        monkeypatch.chdir(self.REPO)
+        code, out, _ = run(capsys, [*argv, "--baseline", str(baseline),
+                                    "--format", "json"])
+        return code, json.loads(out)["stale_baseline"]
+
+    def test_unselected_rule_entries_are_not_stale(self, capsys,
+                                                   monkeypatch):
+        code, stale = self._stale(capsys, monkeypatch,
+                                  ["src", "--select", "RL002"],
+                                  "lint-baseline.json")
+        assert code == 0
+        assert stale == []
+
+    def test_unchecked_file_entries_are_not_stale(self, capsys,
+                                                  monkeypatch):
+        code, stale = self._stale(
+            capsys, monkeypatch,
+            ["tests/lint/fixtures/pr3_cache_split.py", "--select", "RL002"],
+            "lint-baseline.json")
+        assert code == 1            # the fixture's own RL002 finding
+        assert stale == []
+
+    def test_checked_entry_without_a_finding_is_stale(self, capsys,
+                                                      monkeypatch, tmp_path):
+        doc = json.loads((self.REPO / "lint-baseline.json").read_text())
+        gone = {"code": "RL003", "path": "src/repro/datacenter/builder.py",
+                "context": "rng = np.random.default_rng(0)",
+                "reason": "an entry whose finding was fixed meanwhile"}
+        doc["entries"].append(gone)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(doc))
+        code, stale = self._stale(capsys, monkeypatch,
+                                  ["src/repro/datacenter", "--select",
+                                   "RL003"], baseline)
+        assert code == 0
+        assert stale == [gone]
+
+
 class TestMainCliIntegration:
     def test_repro_lint_subcommand(self, capsys):
         code = repro_main(["lint", f"{FIXDIR}/rl004_bad.py",
