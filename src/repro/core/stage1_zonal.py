@@ -43,7 +43,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.arr import AggregateRewardRate
 from repro.core.stage1 import build_arr_functions, distribute_node_power
@@ -52,7 +51,7 @@ from repro.kernels import vectorized
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
-from repro.optimize.linprog import InfeasibleError, LinearProgram
+from repro.optimize.linprog import InfeasibleError, LinearProgram, issparse
 from repro.thermal.sparse import Zone, zone_partition
 from repro.workload.tasktypes import Workload
 
@@ -144,7 +143,7 @@ class ZonalState:
 
 def _hash_matrix(h: "hashlib._Hash", mat) -> None:
     """Feed a dense array or CSR matrix into a digest, content-exactly."""
-    if sp.issparse(mat):
+    if issparse(mat):
         csr = mat.tocsr()
         for part in (csr.data, csr.indices, csr.indptr):
             h.update(np.ascontiguousarray(part).tobytes())
@@ -181,7 +180,7 @@ def _struct_key(datacenter: DataCenter, workload: Workload,
 
 def _block(mat, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Dense sub-block of a dense or sparse matrix."""
-    if sp.issparse(mat):
+    if issparse(mat):
         return mat[rows][:, cols].toarray()
     return mat[np.ix_(rows, cols)]
 
@@ -210,7 +209,7 @@ def _build_blocks(datacenter: DataCenter,
         eye = np.eye(nodes.size)
         w_z = np.linalg.solve(eye - a_zz, eye)
         g_loc = w_z @ a_zz @ np.diag(coeff[nodes])
-        a_mc_z = a_mc[nodes].toarray() if sp.issparse(a_mc) \
+        a_mc_z = a_mc[nodes].toarray() if issparse(a_mc) \
             else a_mc[nodes]
         blocks.append(_ZoneBlock(
             zone=zone,
@@ -302,6 +301,10 @@ def solve_stage1_zonal(datacenter: DataCenter, workload: Workload, *,
 def _solve(datacenter: DataCenter, workload: Workload, model, t: np.ndarray,
            p_const: float, psi: float, max_sweeps: int, tol_kw: float,
            state: ZonalState) -> ZonalStage1Result:
+    # imported here: the ledger imports this module, and dense rooms
+    # never reach it
+    import scipy.sparse as sp
+
     nc = model.n_crac
     n_nodes = datacenter.n_nodes
     base = datacenter.node_base_power

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
-from scipy import sparse
+
+from repro.optimize.linprog import issparse
 
 if TYPE_CHECKING:
     from repro.core.api import SolveOptions
@@ -76,7 +77,7 @@ class Digests:
 
 
 def _hash_array(h: "hashlib._Hash", arr: np.ndarray) -> None:
-    if sparse.issparse(arr):
+    if issparse(arr):
         # CSR content digest: data + structure.  Canonicalize first so
         # an identical matrix assembled in a different order hashes
         # identically.

@@ -10,15 +10,20 @@ The wrapper exists so that
 * every LP in the code base states its intent (maximize vs minimize)
   explicitly,
 * infeasibility is reported with the model name attached, and
-* constraint matrices are assembled as row blocks — a dense array or a
-  scipy sparse matrix per call, :meth:`LinearProgram.add_le_rows` for
-  ``<=`` and :meth:`LinearProgram.add_eq_rows` for ``==`` — without
-  each call site repeating the scipy boilerplate.
+* constraint matrices are assembled as row blocks — a dense array, a
+  :class:`CooRows` triplet block or a scipy sparse matrix per call,
+  :meth:`LinearProgram.add_le_rows` for ``<=`` and
+  :meth:`LinearProgram.add_eq_rows` for ``==`` — without each call site
+  repeating the assembly boilerplate.
 
-Constraint data is held as one CSR block per call (duplicates summed,
-zeros dropped), one list per sense, and stacked once per
-:meth:`LinearProgram.matrices`; a master LP with hundreds of thousands
-of nonzeros costs 12 bytes per nonzero.
+Constraint data is held in CSR form as plain numpy arrays, one block per
+call (nonzeros per row, column indices, values; duplicates summed, zeros
+dropped), one list per sense, and joined once per solve; a master LP
+with hundreds of thousands of nonzeros costs 12 bytes per nonzero.
+HiGHS receives the rows row-wise and builds from them the column-wise
+matrix ``linprog`` would hand it, so no LP needs ``scipy.sparse``
+(~15 MB of peak RSS and ~0.2 s of start-up per process, which dense
+rooms never pay); :meth:`LinearProgram.matrices` imports it when called.
 
 :meth:`LinearProgram.solve` hands the model to HiGHS through
 ``scipy.optimize._highspy._core`` with the options
@@ -47,16 +52,19 @@ import os
 import sys
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 
-__all__ = ["LinearProgram", "LPSolution", "InfeasibleError", "grouped_rows"]
+if TYPE_CHECKING:
+    from scipy import sparse
+
+__all__ = ["LinearProgram", "LPSolution", "InfeasibleError", "CooRows",
+           "grouped_rows", "issparse"]
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
@@ -110,19 +118,45 @@ class LPSolution:
     status: int
 
 
+def issparse(x: Any) -> bool:
+    """``scipy.sparse.issparse(x)`` without importing ``scipy.sparse``:
+    no sparse matrix can exist before that module is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
+
+
+class CooRows(NamedTuple):
+    """A row block as ``(data, row, col)`` triplets of a ``shape`` matrix.
+
+    :meth:`LinearProgram.add_le_rows` takes it as it takes a scipy
+    sparse matrix (through :meth:`tocoo`): zeros are dropped and
+    duplicates summed.  Triplets already in row-major order are stored
+    without a sort.
+    """
+
+    data: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    shape: tuple[int, int]
+
+    def tocoo(self) -> "CooRows":
+        return self
+
+
 def grouped_rows(group_of_var: np.ndarray, vals: np.ndarray
-                 ) -> tuple[np.ndarray, sparse.csr_matrix]:
+                 ) -> tuple[np.ndarray, CooRows]:
     """One row per group that owns a variable: ``(groups, rows)``.
 
     Variable ``v`` (column ``v``; every variable of the program belongs
     to a group) enters the row of group ``group_of_var[v]`` with
     coefficient ``vals[v]``; ``groups`` lists the groups in ascending
-    order, one per row, so a group without variables gets no row.
+    order, one per row, so a group without variables gets no row.  The
+    triplets are in row-major order.
     """
     groups, row = np.unique(group_of_var, return_inverse=True)
-    n_vars = len(group_of_var)
-    return groups, sparse.csr_matrix((vals, (row, np.arange(n_vars))),
-                                     shape=(groups.size, n_vars))
+    col = np.argsort(row, kind="stable")
+    return groups, CooRows(np.asarray(vals, dtype=float)[col], row[col], col,
+                           (groups.size, row.size))
 
 
 _STATUS = highs.HighsModelStatus
@@ -161,42 +195,54 @@ def _highs_options() -> highs.HighsOptions:
 _OPTIONS = _highs_options()
 
 
-class _Rows:
-    """The ``<=`` (or ``==``) rows of a program as CSR blocks.
+#: ``(counts, indices, values, rhs)`` of a sense without rows
+_NO_ROWS = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),
+            np.empty(0), np.empty(0))
 
-    Each block is stored with the program's width when it was added;
-    :meth:`matrix` stacks them once at the current width and keeps the
-    result as the single block, so repeated solves of a growing program
-    (the zonal master LP's cut rounds) re-stack only what was added.
+
+class _Rows:
+    """The ``<=`` (or ``==``) rows of a program in CSR form.
+
+    Each block is ``(counts, indices, values, rhs)``: the nonzeros of
+    each row (int32), their column indices (int32), in row-major order,
+    and their values.  Column indices never depend on the program's
+    width, so a block stays valid as variables are added.
+    :meth:`arrays` concatenates the blocks once and keeps the result as
+    the single block, so repeated solves of a growing program (the
+    zonal master LP's cut rounds) re-concatenate only what was added.
     """
 
     def __init__(self) -> None:
-        self.blocks: list[sparse.csr_matrix] = []
-        self.rhs: list[np.ndarray] = []
+        self.blocks: list[tuple[np.ndarray, ...]] = []
         self.n_rows = 0
         self.nnz = 0
 
-    def append(self, block: sparse.csr_matrix, rhs: np.ndarray) -> None:
-        self.blocks.append(block)
-        self.rhs.append(rhs)
+    def append(self, counts: np.ndarray, indices: np.ndarray,
+               values: np.ndarray, rhs: np.ndarray) -> None:
+        self.blocks.append((counts, indices, values, rhs))
         self.n_rows += rhs.size
-        self.nnz += block.nnz
+        self.nnz += values.size
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``(counts, indices, values, rhs)`` of every block."""
+        if len(self.blocks) > 1:
+            self.blocks = [tuple(np.concatenate(parts)
+                                 for parts in zip(*self.blocks))]
+        return self.blocks[0] if self.blocks else _NO_ROWS
 
     def matrix(self, n_cols: int
                ) -> tuple["sparse.csr_matrix | None", "np.ndarray | None"]:
         """``(A, b)`` of every block, or ``(None, None)`` without rows."""
         if not self.n_rows:
             return None, None
-        # widening a CSR block only changes its shape, not its arrays
-        blocks = [b if b.shape[1] == n_cols else
-                  sparse.csr_matrix((b.data, b.indices, b.indptr),
-                                    shape=(b.shape[0], n_cols))
-                  for b in self.blocks]
-        self.blocks = [blocks[0] if len(blocks) == 1 else
-                       sparse.vstack(blocks, format="csr")]
-        if len(self.rhs) > 1:
-            self.rhs = [np.concatenate(self.rhs)]
-        return self.blocks[0], self.rhs[0].copy()
+        from scipy import sparse
+
+        counts, indices, values, rhs = self.arrays()
+        indptr = np.zeros(counts.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        return (sparse.csr_matrix((values, indices, indptr),
+                                  shape=(counts.size, n_cols)),
+                rhs.copy())
 
 
 @dataclass
@@ -257,42 +303,56 @@ class LinearProgram:
         self._obj.extend(obj_arr.tolist())
         return range(start, start + n)
 
-    def add_le_rows(self, rows: "np.ndarray | sparse.spmatrix",
+    def add_le_rows(self, rows: "np.ndarray | CooRows | sparse.spmatrix",
                     rhs: float | Sequence[float] | np.ndarray) -> None:
         """Add ``rows @ x <= rhs``.
 
-        ``rows`` is a dense array (one row may be 1-D) or a scipy sparse
-        matrix with one column per variable; zero coefficients are
-        dropped, and a row left empty still counts as a row.  A ``>=``
-        row is added negated.
+        ``rows`` is a dense array (one row may be 1-D) or anything with
+        a ``tocoo()`` (a :class:`CooRows` block or a scipy sparse
+        matrix), with one column per variable; zero coefficients are
+        dropped, duplicates summed, and a row left empty still counts
+        as a row.  A ``>=`` row is added negated.
         """
         self._add_rows(self._le, rows, rhs)
 
-    def add_eq_rows(self, rows: "np.ndarray | sparse.spmatrix",
+    def add_eq_rows(self, rows: "np.ndarray | CooRows | sparse.spmatrix",
                     rhs: float | Sequence[float] | np.ndarray) -> None:
         """Add ``rows @ x == rhs``; ``rows`` as in :meth:`add_le_rows`."""
         self._add_rows(self._eq, rows, rhs)
 
-    def _add_rows(self, target: _Rows, rows: "np.ndarray | sparse.spmatrix",
+    def _add_rows(self, target: _Rows,
+                  rows: "np.ndarray | CooRows | sparse.spmatrix",
                   rhs: float | Sequence[float] | np.ndarray) -> None:
-        if sparse.issparse(rows):
-            coo = rows.tocoo()
-            keep = coo.data != 0.0
-            r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
+        if hasattr(rows, "tocoo"):
+            rows = rows.tocoo()
         else:
-            # no COO detour: a dense block's triplets are allocated once
             rows = np.atleast_2d(np.asarray(rows, dtype=float))
-            r, c = np.nonzero(rows)
-            v = rows[r, c]
         rhs = np.array(rhs, dtype=float, ndmin=1)
         if rows.shape[0] != rhs.shape[0]:
             raise ValueError("row/rhs count mismatch")
         if rows.shape[1] != self._num_vars:
             raise ValueError(
                 f"row width {rows.shape[1]} != variable count {self._num_vars}")
-        # the COO -> CSR conversion sums duplicates within each row
-        target.append(sparse.csr_matrix((np.asarray(v, dtype=float), (r, c)),
-                                        shape=rows.shape), rhs)
+        if isinstance(rows, np.ndarray):
+            # np.nonzero walks the block in row-major order
+            r, c = np.nonzero(rows)
+            v = rows[r, c]
+        else:
+            keep = rows.data != 0.0
+            r, c = rows.row[keep], rows.col[keep]
+            v = np.asarray(rows.data[keep], dtype=float)
+            key = r.astype(np.int64) * rows.shape[1] + c
+            if (key[1:] < key[:-1]).any():
+                order = np.argsort(key, kind="stable")
+                r, c, v, key = r[order], c[order], v[order], key[order]
+            first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                # sum duplicates sequentially, in input order
+                v = np.bincount(np.cumsum(first) - 1, weights=v)
+                r, c = r[first], c[first]
+        target.append(np.bincount(r, minlength=rows.shape[0]).astype(np.int32),
+                      c.astype(np.int32), v, rhs)
 
     # ------------------------------------------------------------------
     def matrices(self) -> tuple["sparse.csr_matrix | None",
@@ -303,8 +363,9 @@ class LinearProgram:
 
         ``A_ub``/``A_eq`` are CSR with one column per variable, and
         duplicate entries are summed; a sense without rows gives
-        ``None`` for both its matrix and its rhs.  The matrices are the
-        program's own storage and must not be modified.
+        ``None`` for both its matrix and its rhs.  The matrices share
+        the program's own storage and must not be modified.  Imports
+        ``scipy.sparse``.
         """
         n = self._num_vars
         return (*self._le.matrix(n), *self._eq.matrix(n))
@@ -336,19 +397,16 @@ class LinearProgram:
         c = np.asarray(self._obj, dtype=float)
         if self.maximize:
             c = -c
-        a_ub, b_ub, a_eq, b_eq = self.matrices()
+        le_counts, le_index, le_value, b_ub = self._le.arrays()
+        eq_counts, eq_index, eq_value, b_eq = self._eq.arrays()
         for what, values in (("objective", c),
-                             ("<= coefficients", None if a_ub is None
-                              else a_ub.data),
+                             ("<= coefficients", le_value),
                              ("<= right-hand sides", b_ub),
-                             ("== coefficients", None if a_eq is None
-                              else a_eq.data),
+                             ("== coefficients", eq_value),
                              ("== right-hand sides", b_eq)):
-            if values is not None and not np.isfinite(values).all():
+            if not np.isfinite(values).all():
                 raise ValueError(
                     f"LP '{self.name}': {what} must not contain inf or nan")
-        b_ub = np.empty(0) if b_ub is None else b_ub
-        b_eq = np.empty(0) if b_eq is None else b_eq
         # a NaN bound means "no bound", as linprog reads it
         lb = np.asarray(self._lb, dtype=float)
         ub = np.asarray(self._ub, dtype=float)
@@ -356,21 +414,16 @@ class LinearProgram:
         ub[np.isnan(ub)] = np.inf
         rhs = np.concatenate((b_ub, b_eq))
 
-        blocks = [a for a in (a_ub, a_eq) if a is not None]
-        if not blocks:
-            a = sparse.csc_matrix((0, n))
-        elif len(blocks) == 1:
-            a = blocks[0].tocsc()
-        else:
-            a = sparse.vstack(blocks, format="csc")
+        # row-wise CSR; HiGHS makes the column-wise copy it solves on
+        start = np.zeros(rhs.size + 1, dtype=np.int32)
+        np.cumsum(np.concatenate((le_counts, eq_counts)), out=start[1:])
         model = highs.HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = n
         model.num_row_ = model.a_matrix_.num_row_ = rhs.size
-        model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        model.a_matrix_.start_ = a.indptr
-        model.a_matrix_.index_ = a.indices
-        model.a_matrix_.value_ = a.data
-        del a  # HighsLp holds its own copy
+        model.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+        model.a_matrix_.start_ = start
+        model.a_matrix_.index_ = np.concatenate((le_index, eq_index))
+        model.a_matrix_.value_ = np.concatenate((le_value, eq_value))
         model.col_cost_ = c
         model.col_lower_ = lb
         model.col_upper_ = ub

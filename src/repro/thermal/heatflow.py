@@ -43,14 +43,18 @@ compute nodes, matching Section IV's ``T_out`` vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels import vectorized
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
+from repro.optimize.linprog import issparse
 from repro.units import AIR_DENSITY, AIR_SPECIFIC_HEAT
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["HeatFlowModel", "SteadyState", "SteadyStateBatch",
            "SPARSE_AUTO_UNITS"]
@@ -154,16 +158,19 @@ class HeatFlowModel:
         flows = np.asarray(flows, dtype=float)
         n = flows.size
         if backend == "auto":
-            backend = "sparse" if (sp.issparse(alpha)
+            backend = "sparse" if (issparse(alpha)
                                    or n >= SPARSE_AUTO_UNITS) else "dense"
         if backend not in ("dense", "sparse"):
             raise ValueError(
                 f"unknown thermal backend {backend!r} "
                 "(use 'dense', 'sparse' or 'auto')")
         if backend == "sparse":
+            # imported here, as splu below: dense rooms never need it
+            import scipy.sparse as sp
+
             alpha = sp.csr_matrix(alpha, dtype=float)
         else:
-            alpha = np.asarray(alpha.toarray() if sp.issparse(alpha)
+            alpha = np.asarray(alpha.toarray() if issparse(alpha)
                                else alpha, dtype=float)
         if alpha.shape != (n, n):
             raise ValueError(f"alpha shape {alpha.shape} != ({n}, {n})")
@@ -337,6 +344,8 @@ class HeatFlowModel:
         scratch stays ``GAIN_ROWS_CHUNK x n_nodes`` and only the rows'
         nonzeros (zone-local on zonal rooms) outlive the call.
         """
+        import scipy.sparse as sp
+
         units = np.asarray(units, dtype=int)
         if self.backend == "dense":
             return sp.csr_matrix(self.inlet_gain[units])
@@ -494,6 +503,8 @@ class HeatFlowModel:
                 "removed nodes recirculate air only among themselves; "
                 "the censored coupling is undefined") from exc
         if self.backend == "sparse":
+            import scipy.sparse as sp
+
             # absorbed rows live on the union of the dead rows' supports,
             # so sparsifying keeps the censored matrix block-sparse
             alpha_red = (a[keep][:, keep]

@@ -28,13 +28,16 @@ accepts the result without rebalancing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.datacenter.builder import DataCenter
 from repro.datacenter.layout import Layout
 from repro.thermal.heatflow import HeatFlowModel
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["Zone", "zone_partition", "zonal_block_alpha",
            "attach_zonal_thermal", "DEFAULT_COUPLING"]
@@ -153,6 +156,8 @@ def zonal_block_alpha(datacenter: DataCenter,
                 rows.append(cracs)
                 cols.append((cracs + shift) % n_crac)
                 vals.append(np.full(n_crac, coupling / 2.0))
+
+    import scipy.sparse as sp
 
     alpha = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

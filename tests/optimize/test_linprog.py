@@ -5,7 +5,8 @@ import pytest
 from scipy import sparse
 
 from repro import obs
-from repro.optimize.linprog import InfeasibleError, LinearProgram, grouped_rows
+from repro.optimize.linprog import (CooRows, InfeasibleError, LinearProgram,
+                                    grouped_rows)
 from tests.conftest import dict_rows
 
 
@@ -104,12 +105,32 @@ class TestConstraints:
 
 
     def test_grouped_rows(self):
-        """One row per group that owns a variable, groups ascending."""
+        """One row per group that owns a variable, groups ascending, as
+        triplets in row-major order."""
         groups, rows = grouped_rows(np.array([2, 0, 2]),
                                     np.array([1.0, 2.0, 3.0]))
         assert groups.tolist() == [0, 2]
-        np.testing.assert_array_equal(rows.toarray(), [[0.0, 2.0, 0.0],
-                                                       [1.0, 0.0, 3.0]])
+        assert isinstance(rows, CooRows) and rows.shape == (2, 3)
+        assert (rows.row.tolist(), rows.col.tolist()) == ([0, 1, 1], [1, 0, 2])
+        dense = np.zeros(rows.shape)
+        dense[rows.row, rows.col] = rows.data
+        np.testing.assert_array_equal(dense, [[0.0, 2.0, 0.0],
+                                              [1.0, 0.0, 3.0]])
+
+    def test_coo_rows_sum_duplicates_and_drop_zeros(self):
+        """Out-of-order triplets are sorted, a duplicate is summed, a
+        zero is dropped, and ``nnz`` counts the entries after summing."""
+        lp = LinearProgram()
+        lp.add_variables(3)
+        lp.add_le_rows(CooRows(np.array([1.0, 0.0, 2.0, 0.5, 4.0]),
+                               np.array([1, 0, 1, 0, 1]),
+                               np.array([2, 1, 2, 0, 0]), (2, 3)),
+                       [1.0, 2.0])
+        assert lp.nnz == 3
+        a_ub = lp.matrices()[0]
+        assert a_ub.indptr.tolist() == [0, 1, 3]
+        assert a_ub.indices.tolist() == [0, 0, 2]
+        assert a_ub.data.tolist() == [0.5, 4.0, 3.0]
 
 
 class TestMatrices:

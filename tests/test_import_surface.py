@@ -2,9 +2,11 @@
 
 The library imports only the scipy it calls: the LP wrapper loads
 ``scipy.optimize._highspy._core`` without running
-``scipy/optimize/__init__.py``, and ``splu`` / ``nnls`` are imported
-where they are used.  Each check runs in a fresh interpreter, because
-the test session itself has long since imported all of scipy.
+``scipy/optimize/__init__.py`` and hands HiGHS its rows without
+``scipy.sparse``, which only the sparse thermal backend and the zonal
+Stage 1 import; ``splu`` / ``nnls`` are imported where they are used.
+Each check runs in a fresh interpreter, because the test session itself
+has long since imported all of scipy.
 """
 
 import ast
@@ -54,6 +56,55 @@ def test_ledger_imports_load_no_unused_scipy():
             f"import {', '.join(modules)}\n"
             f"print(sorted(set({UNUSED_SCIPY!r}) & set(sys.modules)))\n")
     assert _run(code) == "[]"
+
+
+def test_ledger_imports_load_no_scipy_sparse():
+    code = (f"import sys\n"
+            f"import {', '.join(_ledger_repro_imports())}\n"
+            "print('scipy.sparse' in sys.modules)\n")
+    assert _run(code) == "False"
+
+
+def test_dense_solve_loads_no_scipy_sparse():
+    # the interference LP, the three stages and the baseline of a dense
+    # room all reach HiGHS without scipy.sparse
+    code = ("import sys\n"
+            "from repro.core.api import SolveRequest, solve\n"
+            "from repro.experiments import (PAPER_SET_1, generate_scenario,\n"
+            "                               scaled_down)\n"
+            "sc = generate_scenario(scaled_down(PAPER_SET_1, 20), 20120521)\n"
+            "res = solve(SolveRequest(sc.datacenter, sc.workload, sc.p_const))\n"
+            "print(res.reward_rate > 0, 'scipy.sparse' in sys.modules)\n")
+    assert _run(code) == "True False"
+
+
+@pytest.mark.parametrize("build", [
+    "HeatFlowModel(np.asarray([[0.0, 1.0], [1.0, 0.0]]),\n"
+    "              np.asarray([0.5, 0.5]), n_crac=1, backend='sparse')",
+    "attach_zonal_thermal(build_datacenter(n_nodes=40, n_crac=2,\n"
+    "                     rng=np.random.default_rng(7)))",
+], ids=["sparse_backend", "zonal"])
+def test_sparse_builds_load_scipy_sparse(build):
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from repro.datacenter import build_datacenter\n"
+            "from repro.thermal.heatflow import HeatFlowModel\n"
+            "from repro.thermal.sparse import attach_zonal_thermal\n"
+            "before = 'scipy.sparse' in sys.modules\n"
+            f"{build}\n"
+            "print(before, 'scipy.sparse' in sys.modules)\n")
+    assert _run(code) == "False True"
+
+
+def test_issparse_without_scipy_sparse():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from repro.optimize.linprog import issparse\n"
+            "before = issparse(np.eye(2)), 'scipy.sparse' in sys.modules\n"
+            "import scipy.sparse as sp\n"
+            "print(*before, issparse(sp.csr_matrix(np.eye(2))),\n"
+            "      issparse(np.eye(2)))\n")
+    assert _run(code) == "False False True False"
 
 
 @pytest.mark.parametrize("first, second", [
