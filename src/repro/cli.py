@@ -71,17 +71,6 @@ def _trace_out_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _thermal_parent() -> argparse.ArgumentParser:
-    """``--thermal-backend`` (heat-flow linear-algebra backend)."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--thermal-backend", choices=("auto", "dense", "sparse"),
-                   default="auto",
-                   help="heat-flow linear-algebra backend (auto picks "
-                        "sparse above the room-size threshold; see "
-                        "docs/THERMAL.md)")
-    return p
-
-
 def _json_parent() -> argparse.ArgumentParser:
     """``--json`` (machine-readable output)."""
     p = argparse.ArgumentParser(add_help=False)
@@ -99,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     engine = _engine_parent()
     trace_out = _trace_out_parent()
-    thermal = _thermal_parent()
     json_flag = _json_parent()
 
     p_tables = sub.add_parser("tables", help="print Tables I and II")
@@ -107,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="P-state-0 static power fraction "
                                "(default 0.3)")
 
-    p_cmp = sub.add_parser("compare", parents=[thermal],
+    p_cmp = sub.add_parser("compare",
                            help="compare techniques on one random room")
     p_cmp.add_argument("--nodes", type=int, default=30)
     p_cmp.add_argument("--seed", type=int, default=1)
@@ -115,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=(1, 2, 3), help="paper simulation set")
 
     p_fig6 = sub.add_parser("fig6",
-                            parents=[engine, thermal, trace_out],
+                            parents=[engine, trace_out],
                             help="run the Figure 6 experiment")
     p_fig6.add_argument("--runs", type=int, default=5,
                         help="simulation runs per set (paper: 25)")
@@ -169,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="arrival-trace shape: diurnal cycle, "
                               "flash-crowd burst, regional demand shift, "
                               "or all three composed (default composite)")
-    p_serve.add_argument("--warm", choices=("off", "replay", "seed"),
+    p_serve.add_argument("--warm", choices=("off", "replay"),
                          default="replay",
                          help="warm-start policy for the per-tick replans "
                               "(default replay; see docs/SERVING.md)")
@@ -288,7 +276,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     sc = generate_scenario(_set_config(args.paper_set, args.nodes),
                            args.seed)
-    dc = sc.datacenter.with_thermal_backend(args.thermal_backend)
+    dc = sc.datacenter
     print(f"room: {args.nodes} nodes, cap {sc.p_const:.1f} kW "
           f"(set {args.paper_set}, seed {args.seed})")
     ours = three_stage_assignment(dc, sc.workload, sc.p_const,
@@ -305,16 +293,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.experiments.config import paper_sets, scaled_down
     from repro.experiments.export import fig6_csv, write_csv
     from repro.experiments.figures import fig6_data, format_fig6
     from repro.experiments.progress import PrintingReporter
 
-    configs = [replace(scaled_down(c, args.nodes),
-                       thermal_backend=args.thermal_backend)
-               for c in paper_sets()]
+    configs = [scaled_down(c, args.nodes) for c in paper_sets()]
     reporter = PrintingReporter()
     results = fig6_data(n_runs=args.runs, base_seed=args.seed,
                         configs=configs, jobs=args.jobs,

@@ -100,8 +100,7 @@ class MPCConfig:
     warm:
         ``"replay"`` (default) chains warm-start state through the
         horizon and across decisions (value-exact reuse only);
-        ``"seed"`` additionally allows the heuristic seeded search
-        after a cap change; ``"off"`` solves everything cold.
+        ``"off"`` solves everything cold.
     """
 
     horizon_steps: int = 3
@@ -136,9 +135,9 @@ class MPCConfig:
             raise ValueError("settle_factor must be positive")
         if self.on_exhausted not in ("best", "raise"):
             raise ValueError("on_exhausted must be 'best' or 'raise'")
-        if self.warm not in ("off", "replay", "seed"):
+        if self.warm not in ("off", "replay"):
             raise ValueError(
-                f"warm must be 'off', 'replay' or 'seed', got {self.warm!r}")
+                f"warm must be 'off' or 'replay', got {self.warm!r}")
 
 
 @dataclass
@@ -241,7 +240,7 @@ class MPCPlanner:
         first_s = cfg.step_s if first_step_s is None else float(first_step_s)
         if first_s <= 0:
             raise ValueError(f"first_step_s must be positive, got {first_s}")
-        options = SolveOptions(psi=cfg.psi, warm_seed=cfg.warm == "seed")
+        options = SolveOptions(psi=cfg.psi)
         pooled = cfg.warm != "off"
 
         with obs_span("mpc", steps=int(rates.shape[0]), cap_kw=p_const):

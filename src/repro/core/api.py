@@ -36,12 +36,9 @@ Every :func:`solve` call returns a :class:`SolveResult` pairing
   next solve reuse search state, thermal linearizations and LP
   solutions.  The contract is strict: **a warm-started solve of an
   identical request is bit-identical to a cold solve**, and a state
-  never changes *values* — only speed — unless
-  ``SolveOptions.warm_seed`` explicitly allows the heuristic seeded
-  search after a structural change (power cap moved).  ``state`` is
-  JSON-serializable via ``to_dict()``/``from_dict()``; the serialized
-  form drops the in-memory caches but keeps exact warm-starting for
-  unchanged-cap requests.
+  never changes *values* — only speed.  ``state`` pickles without its
+  in-memory caches, so a state shipped to another process still
+  warm-starts exactly for unchanged-cap requests.
 
 These shapes — ``SolveRequest``/``SolveOptions`` in,
 ``SolveResult``/``SolveState`` out — are frozen as of this release;
@@ -104,17 +101,6 @@ class SolveOptions:
         Grid granularities of the ``"full"`` coarse-to-fine search.
     temp_step / max_assignments:
         Exact-enumeration knobs (``"exact"`` method only).
-    warm_seed:
-        Whether a warm start may seed the ``"fast"`` temperature search
-        from the previous optimum after the power cap changed — a
-        heuristic (different cap, possibly a different descent basin)
-        that trades a bounded amount of reward for replan speed, so it
-        is **off by default**: without it a warm start only engages the
-        value-exact reuse levels and warm results match cold results
-        bit-for-bit.  When only arrival rates changed the seed is exact
-        and used regardless of this flag.  It is the one field left out
-        of the warm-start digests
-        (:data:`repro.core.warmstart.DIGEST_EXEMPT`).
     backend:
         Solver backend :func:`solve` dispatches to when no explicit
         ``method=`` is given (see :mod:`repro.solvers`).  The default
@@ -127,14 +113,6 @@ class SolveOptions:
         Evaluation budget for metaheuristic backends — candidates
         repaired-and-scored, **never** wall-clock seconds, so budgeted
         searches stay bit-reproducible.
-    thermal_backend:
-        Linear-algebra backend of the heat-flow model the solve runs
-        against: ``"auto"`` (the default — keep whatever the attached
-        model chose by room size), ``"dense"`` (explicit inverse, the
-        reference oracle) or ``"sparse"`` (CSR + cached ``splu``
-        factorization; see ``docs/THERMAL.md``).  The setting is folded
-        into the warm-start digests, so changing it never replays a
-        stale cache entry.
     """
 
     psi: float = 50.0
@@ -144,11 +122,9 @@ class SolveOptions:
     final_step: float = 1.0
     temp_step: float = 3.0
     max_assignments: int = 200_000
-    warm_seed: bool = False
     backend: str = "three_stage"
     seed: int = 0
     max_evals: int = 2000
-    thermal_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.search not in ("fast", "full"):
@@ -162,10 +138,6 @@ class SolveOptions:
             raise ValueError(
                 f"unknown solver backend {self.backend!r}; choose from "
                 f"{', '.join(list_solvers())}")
-        if self.thermal_backend not in ("auto", "dense", "sparse"):
-            raise ValueError(
-                f"unknown thermal backend {self.thermal_backend!r} "
-                "(use 'auto', 'dense' or 'sparse')")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +239,7 @@ def _solve_three_stage(request: SolveRequest) -> SolveResult:
     digests = compute_digests(request.datacenter, request.workload,
                               request.p_const, opt)
     ctx = prepare_context(request.warm_start, digests,
-                          method="three_stage", search=opt.search,
-                          warm_seed=opt.warm_seed)
+                          method="three_stage", search=opt.search)
     obs_metrics.counter(f"solve.warm_level.{ctx.level}").inc()
     outcome = three_stage_assignment(
         request.datacenter, request.workload, request.p_const,
@@ -293,8 +264,7 @@ def _solve_best_psi(request: SolveRequest) -> SolveResult:
         child = prev.children.get(str(psi)) if prev is not None else None
         contexts[psi] = prepare_context(child, digests,
                                         method="three_stage",
-                                        search=opt.search,
-                                        warm_seed=opt.warm_seed)
+                                        search=opt.search)
     _, by_psi = best_psi_assignment(
         request.datacenter, request.workload, request.p_const,
         psis=opt.psis, search=opt.search, warm=contexts)
@@ -393,10 +363,4 @@ def solve(request: SolveRequest, *, method: str | None = None
     ``.state`` handle for warm-starting the next solve.
     """
     name = request.options.backend if method is None else method
-    solver = get_solver(name)
-    backend = request.options.thermal_backend
-    if backend != "auto" and request.datacenter.thermal is not None:
-        converted = request.datacenter.with_thermal_backend(backend)
-        if converted is not request.datacenter:
-            request = replace(request, datacenter=converted)
-    return solver(request)
+    return get_solver(name)(request)

@@ -97,8 +97,7 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
                               derate_step: float = 0.05,
                               max_derate: int = 10,
                               on_exhausted: str = "raise",
-                              warm_start: SolveState | None = None,
-                              warm_seed: bool = False
+                              warm_start: SolveState | None = None
                               ) -> tuple[SolveResult | ShedPlan, int,
                                          float | None]:
     """Solve a first-step plan whose *transition* is transient-safe.
@@ -130,12 +129,10 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
         exposure rather than abort.  When a solve is infeasible (the
         cold start, or any derated re-solve) it returns the all-off
         :func:`shed_plan` instead.
-    warm_start / warm_seed:
-        Previous solve state to warm the (re-)solves from, and whether
-        the heuristic seeded search may engage after a cap change (see
-        :class:`repro.core.api.SolveOptions`).  The state chains through
-        the derate iterations, so each derated re-solve warm-starts from
-        the previous iteration.
+    warm_start:
+        Previous solve state to warm the (re-)solves from.  The state
+        chains through the derate iterations, so each derated re-solve
+        warm-starts from the previous iteration.
 
     Returns
     -------
@@ -155,7 +152,7 @@ def plan_with_transient_guard(datacenter: DataCenter, workload: Workload,
     best: tuple[SolveResult, int, float] | None = None
     overshoot = np.inf
     state = warm_start
-    options = SolveOptions(psi=psi, warm_seed=warm_seed)
+    options = SolveOptions(psi=psi)
     try:
         if t_out_prev is None:
             return solve(SolveRequest(datacenter, workload, cap,

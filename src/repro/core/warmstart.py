@@ -23,11 +23,11 @@ Three content digests grade how much of a previous solve still applies:
     ``stage1`` plus the arrival rates: the whole problem.  An equal
     digest replays the previous outcome verbatim.
 
-:class:`SolveState` is the opaque artifact carrying the digests (and a
-JSON-serializable seed) across solves; its :attr:`SolveState.runtime`
-field holds the in-memory caches and is deliberately never serialized —
-a deserialized state still warm-starts, just through the exact seeded
-path instead of outright replay.
+:class:`SolveState` is the opaque artifact carrying the digests (and the
+previous outlet vector) across solves; its :attr:`SolveState.runtime`
+field holds the in-memory caches and is dropped by pickling — an
+unpickled state still warm-starts, just through the exact seeded path
+instead of outright replay.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -55,11 +55,6 @@ __all__ = ["Digests", "SolveState", "WarmContext", "WarmPool",
 
 #: Reuse grades, strongest first (see module docstring).
 LEVELS = ("request", "stage1", "structure", "none")
-
-#: ``SolveOptions`` fields left out of the structure digest.
-#: ``warm_seed`` changes the search path, never solution values, and
-#: hashing it would defeat warm-start reuse.
-DIGEST_EXEMPT = frozenset({"warm_seed"})
 
 #: Soft cap on cached LP solutions per chained context; the cache only
 #: grows when the power cap keeps changing, and eviction affects speed,
@@ -95,9 +90,8 @@ def compute_digests(datacenter: DataCenter, workload: Workload,
 
     ``psi`` defaults to ``options.psi``; the ``best_psi`` method digests
     each of its per-ψ children separately.  Every ``SolveOptions`` field
-    but :data:`DIGEST_EXEMPT` is folded into the structure digest, in
-    declaration order, so a new knob can never silently replay a stale
-    result.
+    is folded into the structure digest, in declaration order, so a new
+    knob can never silently replay a stale result.
     """
     model = datacenter.require_thermal()
     h = hashlib.sha256()
@@ -123,8 +117,6 @@ def compute_digests(datacenter: DataCenter, workload: Workload,
     _hash_array(h, workload.deadline_slack)
     knobs = []
     for f in fields(options):
-        if f.name in DIGEST_EXEMPT:
-            continue
         value = getattr(options, f.name)
         if f.name == "psi" and psi is not None:
             value = float(psi)
@@ -153,10 +145,9 @@ class WarmContext:
     * ``lp_cache`` — keyed by ``stage1_key`` plus the probe temperature,
       so entries self-invalidate when the cap changes; replay is
       bit-exact.
-    * ``seed_t`` — starting vector for the coordinate descent.  Exact
-      at level ``stage1`` (it is the incumbent optimum of the identical
-      search problem); heuristic at level ``structure`` and therefore
-      only set there when the caller opted in via ``warm_seed``.
+    * ``seed_t`` — starting vector for the coordinate descent, set only
+      at level ``stage1``, where it is exact (the incumbent optimum of
+      the identical search problem).
     * ``prev_stage1`` / ``prev_stage2`` — Stage 2 replays when Stage 1
       reproduces its previous output bit-for-bit.
     * ``outcome`` — the full previous result, replayed at ``request``.
@@ -176,14 +167,13 @@ class WarmContext:
 
 @dataclass
 class SolveState:
-    """Opaque, serializable warm-start handle (schema 1).
+    """Opaque warm-start handle.
 
     Returned with every :class:`repro.core.api.SolveResult` and accepted
-    back via ``SolveRequest.warm_start``.  The serializable core is the
+    back via ``SolveRequest.warm_start``.  The portable core is the
     digests plus the previous outlet vector; :attr:`runtime` carries the
-    heavyweight caches within a process and is dropped by
-    :meth:`to_dict` and by pickling (engine workers ship states across
-    processes without the caches).
+    heavyweight caches within a process and is dropped by pickling
+    (engine workers ship states across processes without the caches).
     """
 
     method: str
@@ -193,7 +183,6 @@ class SolveState:
     t_crac_out: tuple[float, ...] | None = None
     objective: float | None = None
     children: dict[str, "SolveState"] = field(default_factory=dict)
-    schema: int = 1
     runtime: WarmContext | None = field(default=None, repr=False,
                                         compare=False)
 
@@ -201,44 +190,6 @@ class SolveState:
         state = self.__dict__.copy()
         state["runtime"] = None
         return state
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (round-trips via :meth:`from_dict`)."""
-        return {
-            "schema": self.schema,
-            "method": self.method,
-            "search": self.search,
-            "digests": {"structure": self.digests.structure,
-                        "stage1": self.digests.stage1,
-                        "request": self.digests.request},
-            "psi": self.psi,
-            "t_crac_out": None if self.t_crac_out is None
-            else list(self.t_crac_out),
-            "objective": self.objective,
-            "children": {key: child.to_dict()
-                         for key, child in self.children.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "SolveState":
-        if doc.get("schema") != 1:
-            raise ValueError(
-                f"unsupported SolveState schema {doc.get('schema')!r}")
-        digests = Digests(structure=doc["digests"]["structure"],
-                          stage1=doc["digests"]["stage1"],
-                          request=doc["digests"]["request"])
-        t_out = doc.get("t_crac_out")
-        return cls(
-            method=doc["method"],
-            search=doc["search"],
-            digests=digests,
-            psi=doc.get("psi"),
-            t_crac_out=None if t_out is None else tuple(float(t)
-                                                        for t in t_out),
-            objective=doc.get("objective"),
-            children={key: cls.from_dict(child)
-                      for key, child in doc.get("children", {}).items()},
-        )
 
 
 class WarmPool:
@@ -280,8 +231,7 @@ class WarmPool:
 
 
 def prepare_context(state: SolveState | None, digests: Digests, *,
-                    method: str, search: str,
-                    warm_seed: bool) -> WarmContext:
+                    method: str, search: str) -> WarmContext:
     """Grade a previous state against the current request.
 
     Always returns a usable context — a cold solve just gets one with
@@ -299,27 +249,20 @@ def prepare_context(state: SolveState | None, digests: Digests, *,
         ctx.lp_cache = rt.lp_cache
         if len(ctx.lp_cache) > _LP_CACHE_LIMIT:
             ctx.lp_cache.clear()
-    seed = None if state.t_crac_out is None \
-        else np.asarray(state.t_crac_out, dtype=float)
-    if state.digests.request == digests.request:
-        if rt is not None and rt.outcome is not None:
-            ctx.level = "request"
-            ctx.outcome = rt.outcome
-            ctx.prev_stage1 = rt.prev_stage1
-            ctx.prev_stage2 = rt.prev_stage2
-            return ctx
-        # deserialized state: same request, but no outcome to replay —
-        # fall through to the exact seeded path
-        ctx.level = "stage1"
-    elif state.digests.stage1 == digests.stage1:
-        ctx.level = "stage1"
-    else:
-        ctx.level = "structure"
     if rt is not None:
         ctx.prev_stage1 = rt.prev_stage1
         ctx.prev_stage2 = rt.prev_stage2
-    if search == "fast" and (ctx.level == "stage1" or warm_seed):
-        ctx.seed_t = seed
+        if state.digests.request == digests.request \
+                and rt.outcome is not None:
+            ctx.level = "request"
+            ctx.outcome = rt.outcome
+            return ctx
+    if state.digests.stage1 == digests.stage1:
+        ctx.level = "stage1"
+        if search == "fast" and state.t_crac_out is not None:
+            ctx.seed_t = np.asarray(state.t_crac_out, dtype=float)
+    else:
+        ctx.level = "structure"
     return ctx
 
 

@@ -195,25 +195,6 @@ class DataCenter:
                 "coefficients first (repro.thermal.attach_thermal_model)")
         return self.thermal
 
-    def with_thermal_backend(self, backend: str) -> "DataCenter":
-        """A view of this room whose heat-flow model uses ``backend``.
-
-        Shallow copy: nodes, layout and derived arrays are shared; only
-        the ``thermal`` reference differs.  ``"auto"``, no attached
-        model, or an already-matching backend return ``self`` unchanged.
-        The converted model is memoized on the model itself
-        (:meth:`repro.thermal.heatflow.HeatFlowModel.with_backend`), so
-        repeated conversions are free.
-        """
-        if self.thermal is None or backend == "auto":
-            return self
-        converted = self.thermal.with_backend(backend)
-        if converted is self.thermal:
-            return self
-        clone = copy.copy(self)
-        clone.thermal = converted
-        return clone
-
     def with_redline_margin(self, margin_c: float) -> "DataCenter":
         """A view of this room with every redline tightened by ``margin_c``.
 
@@ -222,9 +203,9 @@ class DataCenter:
         redlines makes the first step pick colder CRAC outlets — banking
         thermal headroom *now* — while the committed plan is still
         simulated and verified against the true (untightened) room.
-        Shallow copy, same idiom as :meth:`with_thermal_backend`: nodes,
-        layout, derived arrays and the thermal model are shared; only the
-        two redline scalars differ.  A zero margin returns ``self``.
+        Shallow copy: nodes, layout, derived arrays and the thermal model
+        are shared; only the two redline scalars differ.  A zero margin
+        returns ``self``.
         """
         if margin_c < 0:
             raise ValueError(f"margin_c must be >= 0, got {margin_c}")

@@ -9,16 +9,17 @@ fault-free run — and every other factor is reported relative to it:
 
 * **reward retained** — achieved reward rate / healthy reward rate;
 * **redline-violation minutes** — transition time above any redline;
-* **MTTR-to-replan** — mean wall-clock seconds per fault re-solve;
 * **tasks lost / requeued** — explicit stranded-task accounting.
+
+MTTR-to-replan is a measurement, not a result: each re-solve runs in a
+``replan`` span, which ``repro profile`` reports.
 
 Every point is a pure function of ``(ChaosConfig, factor)``, so the
 sweep is one call of :func:`~repro.experiments.engine.sweep`: points
 fan out over worker processes (workers recompute from the config, so
 results are identical across ``--jobs``) and are cached per point under
-a key derived from every config field.  Wall-clock fields
-(``mean_replan_s``) are measured, not derived, and are the one part of
-a point that legitimately varies between executions.
+a key derived from every config field.  A point holds no wall-clock
+field, so two executions of one sweep are byte-identical.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class ChaosPoint(SweepPoint):
     tasks_lost: int
     tasks_requeued: int
     n_replans: int
-    mean_replan_s: float
     reward_retained: float | None = None
     detail: dict = field(default_factory=dict, repr=False)
 
@@ -107,7 +107,6 @@ class ChaosPoint(SweepPoint):
                    tasks_lost=result.tasks_lost,
                    tasks_requeued=result.tasks_requeued,
                    n_replans=result.n_replans,
-                   mean_replan_s=result.mean_replan_s,
                    detail=result.to_dict())
 
 
@@ -199,14 +198,12 @@ def sweep_chaos(config: ChaosConfig, factors: list[float], *,
 def chaos_table(points: list[ChaosPoint]) -> str:
     """Fixed-width text table of a chaos sweep (CLI output)."""
     lines = [f"{'factor':>7}{'faults':>7}{'reward/s':>10}{'retained':>10}"
-             f"{'viol min':>9}{'lost':>6}{'requeued':>9}{'replans':>8}"
-             f"{'replan s':>9}"]
+             f"{'viol min':>9}{'lost':>6}{'requeued':>9}{'replans':>8}"]
     for p in points:
         retained = ("     --- " if p.reward_retained is None
                     else f"{100 * p.reward_retained:8.1f}%")
         lines.append(
             f"{p.factor:>7.2f}{p.n_fault_events:>7d}{p.reward_rate:>10.1f}"
             f"{retained}{p.violation_minutes:>9.2f}{p.tasks_lost:>6d}"
-            f"{p.tasks_requeued:>9d}{p.n_replans:>8d}"
-            f"{p.mean_replan_s:>9.3f}")
+            f"{p.tasks_requeued:>9d}{p.n_replans:>8d}")
     return "\n".join(lines)

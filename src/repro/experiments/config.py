@@ -38,12 +38,6 @@ class ScenarioConfig:
     metaheuristic backends, the RNG seed and evaluation budget.  All
     three feed the engine cache key — runs under different backends or
     budgets never share cached points.
-
-    ``thermal_backend`` picks the heat-flow linear-algebra backend
-    (``"auto"`` / ``"dense"`` / ``"sparse"``, see
-    :class:`~repro.thermal.heatflow.HeatFlowModel`).  It also feeds the
-    cache key: the backends agree only within float tolerance, so
-    cached points are never mixed across them.
     """
 
     name: str = "set1"
@@ -63,7 +57,6 @@ class ScenarioConfig:
     backend: str = "three_stage"
     backend_seed: int = 0
     max_evals: int = 2000
-    thermal_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0 or self.n_crac <= 0 or self.n_task_types <= 0:
@@ -72,10 +65,6 @@ class ScenarioConfig:
             raise ValueError("need at least one psi level")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
-        if self.thermal_backend not in ("auto", "dense", "sparse"):
-            raise ValueError(
-                f"unknown thermal backend {self.thermal_backend!r} "
-                "(expected 'auto', 'dense' or 'sparse')")
 
 
 #: Paper simulation set 1: static 30%, V_prop = 0.1.

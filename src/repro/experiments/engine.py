@@ -66,10 +66,12 @@ __all__ = ["EngineConfig", "EngineError", "run_set", "run_sets",
 #: 4: scenario configs carry the solver backend + its budget knobs
 #: (``backend`` / ``backend_seed`` / ``max_evals``), splitting cached
 #: points per backend.
-#: 5: scenario configs carry ``thermal_backend`` (dense vs. sparse
+#: 5: scenario configs carried a thermal backend (dense vs. sparse
 #: heat-flow algebra agree only within float tolerance, so their cached
 #: points must not be mixed).
-CACHE_SCHEMA_VERSION = 5
+#: 6: chaos points lost the wall-clock ``mean_replan_s``; a cached point
+#: of the old layout no longer fits the point class.
+CACHE_SCHEMA_VERSION = 6
 
 #: Exceptions that are deterministic for a given ``(config, seed)`` —
 #: retrying cannot help, so they fail fast (but are still recorded).

@@ -239,8 +239,7 @@ def run_comparison(scenario: Scenario) -> RunResult:
     options = SolveOptions(psis=tuple(config.psis), search=config.search,
                            backend=config.backend,
                            seed=config.backend_seed,
-                           max_evals=config.max_evals,
-                           thermal_backend=config.thermal_backend)
+                           max_evals=config.max_evals)
     request = SolveRequest(
         scenario.datacenter, scenario.workload, scenario.p_const,
         options=options)

@@ -43,7 +43,6 @@ replay — bit-identical to ``repro simulate``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,10 +95,7 @@ class ReactionPolicy:
         threads :class:`~repro.core.warmstart.SolveState` between
         intervals that share an inventory, engaging only the
         value-exact reuse levels — every committed plan is bit-identical
-        to a cold solve.  ``"seed"`` additionally allows the heuristic
-        seeded temperature search after a cap change
-        (``SolveOptions.warm_seed``); ``"off"`` disables warm-starting
-        entirely.
+        to a cold solve.  ``"off"`` disables warm-starting entirely.
     controller:
         ``"interval"`` (default) replans reactively at inventory changes
         with the transient-guard derate loop; ``"mpc"`` replans with the
@@ -144,9 +140,9 @@ class ReactionPolicy:
                 f"derate_step must be in (0, 1), got {self.derate_step}")
         if self.on_derate_exhausted not in ("best", "raise"):
             raise ValueError("on_derate_exhausted must be 'best' or 'raise'")
-        if self.warm not in ("off", "replay", "seed"):
+        if self.warm not in ("off", "replay"):
             raise ValueError(
-                f"warm must be 'off', 'replay' or 'seed', got {self.warm!r}")
+                f"warm must be 'off' or 'replay', got {self.warm!r}")
         if self.controller not in ("interval", "mpc"):
             raise ValueError(
                 f"controller must be 'interval' or 'mpc', "
@@ -209,9 +205,6 @@ class IntervalRecord:
     warm_level:
         Warm-start reuse level of the committed solve (``"none"``,
         ``"structure"``, ``"stage1"``, ``"request"``, or ``"shed"``).
-    replan_wall_s:
-        Wall-clock seconds the re-solve took (the MTTR-to-replan
-        sample; includes every derate iteration).
     metrics:
         Second-step DES metrics for the interval's task slice.
     """
@@ -229,7 +222,6 @@ class IntervalRecord:
     transient_overshoot_c: float | None
     violation_minutes: float
     warm_level: str
-    replan_wall_s: float
     metrics: SimulationMetrics
     #: True when no feasible plan existed and all load was shed.
     shed: bool = False
@@ -252,7 +244,6 @@ class IntervalRecord:
             "transient_overshoot_c": self.transient_overshoot_c,
             "violation_minutes": self.violation_minutes,
             "warm_level": self.warm_level,
-            "replan_wall_s": self.replan_wall_s,
             "shed": self.shed,
             "precooled": self.precooled,
             "metrics": self.metrics.to_dict(),
@@ -318,17 +309,6 @@ class ChaosRunResult:
     def shed_intervals(self) -> int:
         return sum(1 for iv in self.intervals if iv.shed)
 
-    @property
-    def replan_wall_times(self) -> list[float]:
-        return [iv.replan_wall_s for iv in self.intervals
-                if iv.cause != "start"]
-
-    @property
-    def mean_replan_s(self) -> float:
-        """Mean time-to-replan over the fault reactions (0 if none)."""
-        times = self.replan_wall_times
-        return float(np.mean(times)) if times else 0.0
-
     def to_dict(self) -> dict:
         return {
             "schema": 1,
@@ -342,7 +322,6 @@ class ChaosRunResult:
             "n_replans": self.n_replans,
             "precools": self.precools,
             "derates": self.derates,
-            "mean_replan_s": self.mean_replan_s,
             "intervals": [iv.to_dict() for iv in self.intervals],
         }
 
@@ -460,7 +439,6 @@ class FaultAwareController:
                       ) -> tuple[IntervalRecord, np.ndarray, int]:
         """One constant-inventory interval: replan, then the epoch step."""
         pol = self.policy
-        t0 = time.perf_counter()
         precooled = 0
         wl_iv = view.workload
         if profile is not None:
@@ -484,8 +462,7 @@ class FaultAwareController:
             # warm chains keyed by the inventory's structure digest
             warm_key = None if pol.warm == "off" else compute_digests(
                 view.datacenter, wl_iv, cap,
-                SolveOptions(psi=pol.psi, warm_seed=pol.warm == "seed")
-            ).structure
+                SolveOptions(psi=pol.psi)).structure
             with obs_span("replan", cold_start=t_prev is None):
                 plan, derated, predicted = plan_with_transient_guard(
                     view.datacenter, wl_iv, cap, t_prev,
@@ -494,15 +471,13 @@ class FaultAwareController:
                     max_derate=pol.max_derate,
                     on_exhausted=pol.on_derate_exhausted,
                     warm_start=(None if warm_key is None
-                                else self._warm.get(warm_key)),
-                    warm_seed=pol.warm == "seed")
+                                else self._warm.get(warm_key)))
             if warm_key is not None and not isinstance(plan, ShedPlan):
                 self._warm.put(warm_key, plan.state)
         shed = isinstance(plan, ShedPlan)
         warm_level = "shed" if shed else plan.warm_level
         if shed:
             obs_metrics.counter("chaos.shed_events").inc()
-        replan_wall = time.perf_counter() - t0
         if cause != "start":
             obs_metrics.counter("chaos.replans").inc()
 
@@ -537,7 +512,6 @@ class FaultAwareController:
             transient_overshoot_c=epoch.overshoot_c,
             violation_minutes=epoch.violation_minutes,
             warm_level=warm_level,
-            replan_wall_s=replan_wall,
             metrics=epoch.metrics,
             shed=shed,
             precooled=precooled)

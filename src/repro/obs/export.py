@@ -9,8 +9,8 @@ Two artifacts come out of a traced run:
   :func:`write_events_jsonl` wrote.
 * a **profile tree** — spans aggregated by dotted path
   (:func:`build_profile`): per node the call count, total/min/max wall
-  time, and children.  ``repro profile`` renders it; benchmarks dump it
-  as ``BENCH_obs.json``.
+  time, and children.  ``repro profile`` renders it, and
+  ``repro profile --json`` emits it as nested objects.
 
 Worker processes ship their spans back as snapshots
 (:meth:`repro.obs.trace.Tracer.snapshot`); :func:`merge_snapshot` folds

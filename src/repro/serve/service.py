@@ -62,9 +62,8 @@ class ServeConfig:
         (:func:`repro.core.controller.plan_with_transient_guard`).
     warm:
         ``"replay"`` (default) threads warm-start state between ticks
-        using only the value-exact reuse levels; ``"seed"`` also allows
-        the heuristic seeded search after a cap change; ``"off"``
-        solves every tick cold.
+        using only the value-exact reuse levels; ``"off"`` solves every
+        tick cold.
     controller:
         ``"interval"`` (default) replans each tick reactively with the
         transient guard; ``"mpc"`` plans with the receding-horizon
@@ -90,9 +89,9 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
             raise ValueError(f"tick_s must be positive, got {self.tick_s}")
-        if self.warm not in ("off", "replay", "seed"):
+        if self.warm not in ("off", "replay"):
             raise ValueError(
-                f"warm must be 'off', 'replay' or 'seed', got {self.warm!r}")
+                f"warm must be 'off' or 'replay', got {self.warm!r}")
         if self.controller not in ("interval", "mpc"):
             raise ValueError(
                 f"controller must be 'interval' or 'mpc', "
@@ -321,7 +320,7 @@ class ControlService:
                 self.datacenter, wl, self.p_const, self._t_out,
                 psi=cfg.psi, tau_s=cfg.tau_s, derate_step=cfg.derate_step,
                 max_derate=cfg.max_derate, on_exhausted="best",
-                warm_start=self._warm, warm_seed=cfg.warm == "seed")
+                warm_start=self._warm)
             if cfg.warm != "off" and not isinstance(plan, ShedPlan):
                 self._warm = plan.state
         if isinstance(plan, ShedPlan):

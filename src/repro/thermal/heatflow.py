@@ -265,8 +265,6 @@ class HeatFlowModel:
         # Censored (fault-degraded) views keyed on the dead-node set;
         # the model is immutable, so entries never go stale.
         self._censored: dict[bytes, "HeatFlowModel"] = {}
-        # Backend-converted views of this same room (see with_backend).
-        self._views: dict[str, "HeatFlowModel"] = {}
         #: lifetime memo misses of :meth:`without_nodes` on this instance.
         self.censored_rebuilds = 0
         #: lifetime memo hits of :meth:`without_nodes` on this instance.
@@ -281,25 +279,6 @@ class HeatFlowModel:
     def mix_dense(self) -> np.ndarray:
         """The Eq. 5 mixing matrix as a dense array, on either backend."""
         return self.mix.toarray() if self.backend == "sparse" else self.mix
-
-    def with_backend(self, backend: str) -> "HeatFlowModel":
-        """This room under another backend (memoized; ``"auto"`` = self).
-
-        The converted model represents the same physics; the two
-        backends agree within the tolerance policy of
-        ``docs/THERMAL.md`` (the dense path is the oracle).
-        """
-        if backend == "auto" or backend == self.backend:
-            return self
-        cached = self._views.get(backend)
-        if cached is None:
-            alpha = self.alpha.toarray() if self.backend == "sparse" \
-                else self.alpha
-            cached = HeatFlowModel(alpha, self.flows, self.n_crac,
-                                   rho=self.rho, cp=self.cp,
-                                   backend=backend)
-            self._views[backend] = cached
-        return cached
 
     def inlet_affine(self, t_crac_out: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from repro.thermal.constraints import ThermalLinearization
 from repro.workload import generate_workload
 
 from tests.conftest import SEED
+from tests.thermal.twin import backend_twin
 
 #: The monolithic search optimum for the fig6 scenario below — kept
 #: fixed so zonal and monolithic are compared at identical outlets.
@@ -85,7 +86,7 @@ class TestAgainstMonolithic:
                                        t_crac_out=t)
         arrs = build_arr_functions(dc, workload, 50.0)
         lin = ThermalLinearization.build(
-            dc.require_thermal().with_backend("dense"), t, dc.redline_c,
+            backend_twin(dc.require_thermal(), "dense"), t, dc.redline_c,
             dc.cracs[0].cop_model)
         mono = solve_stage1_fixed_temps(dc, arrs, lin, cap)
         assert mono is not None

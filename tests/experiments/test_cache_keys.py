@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.api import SolveOptions
-from repro.core.warmstart import DIGEST_EXEMPT, compute_digests
+from repro.core.warmstart import compute_digests
 from repro.experiments.chaos import ChaosConfig
 from repro.experiments.config import PAPER_SET_1, ScenarioConfig, scaled_down
 from repro.experiments.control import ControlConfig
@@ -35,14 +35,12 @@ ALTERNATES: dict[type, dict[str, object]] = {
         "facing_share": 0.6, "nodes_per_rack": 4,
         "crac_outlet_low_c": 11.0, "crac_outlet_high_c": 24.0,
         "backend": "annealing", "backend_seed": 1, "max_evals": 123,
-        "thermal_backend": "sparse",
     },
     SolveOptions: {
         "psi": 25.0, "psis": (50.0,), "search": "full",
         "coarse_step": 4.0, "final_step": 0.5, "temp_step": 2.0,
-        "max_assignments": 1000, "warm_seed": True,
+        "max_assignments": 1000,
         "backend": "annealing", "seed": 1, "max_evals": 100,
-        "thermal_backend": "dense",
     },
     ChaosConfig: {
         "n_nodes": 8, "seed": 2, "horizon_s": 31.0, "psi": 25.0,
@@ -61,10 +59,6 @@ ALTERNATES: dict[type, dict[str, object]] = {
         "backend_seed": 1, "max_evals": 61, "tau_s": 60.0,
     },
 }
-
-#: Fields deliberately left out of a key: ``warm_seed`` changes the
-#: search path, never solution values.
-NOT_KEYED = {SolveOptions: {"warm_seed"}}
 
 #: Sweep tag and one arm for the configs keyed by ``point_key``.
 SWEEP_ARMS = {
@@ -102,16 +96,8 @@ def test_every_field_splits_key(cls, room):
     for f in fields(cls):
         alt = table[f.name]
         assert alt != getattr(base, f.name), (cls.__name__, f.name)
-        changed = _key(replace(base, **{f.name: alt}), room) != base_key
-        assert changed != (f.name in NOT_KEYED.get(cls, ())), \
-            f"{cls.__name__}.{f.name}: key change is {changed}"
-
-
-def test_warm_seed_does_not_change_digest(room):
-    assert DIGEST_EXEMPT == NOT_KEYED[SolveOptions]
-    base = SolveOptions()
-    seeded = replace(base, warm_seed=True)
-    assert _key(seeded, room) == _key(base, room)
+        assert _key(replace(base, **{f.name: alt}), room) != base_key, \
+            f"{cls.__name__}.{f.name} does not split the key"
 
 
 def test_point_key_splits_on_tag_and_arm():

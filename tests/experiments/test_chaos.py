@@ -13,16 +13,6 @@ from repro.faults.model import FaultEvent, FaultKind, FaultSchedule
 CONFIG = ChaosConfig(n_nodes=6, seed=0, horizon_s=60.0)
 
 
-def _strip_wall_times(point: ChaosPoint) -> dict:
-    """Point payload minus the measured (non-deterministic) wall clocks."""
-    doc = point.to_dict()
-    doc.pop("mean_replan_s")
-    doc["detail"].pop("mean_replan_s")
-    for iv in doc["detail"]["intervals"]:
-        iv.pop("replan_wall_s")
-    return doc
-
-
 class TestRunChaosPoint:
     def test_factor_zero_matches_plain_simulate(self):
         """Acceptance criterion: the factor-0 control reproduces the
@@ -52,8 +42,8 @@ class TestRunChaosPoint:
             run_chaos_point(CONFIG, -1.0)
 
     def test_point_deterministic(self):
-        a = _strip_wall_times(run_chaos_point(CONFIG, 1.0))
-        b = _strip_wall_times(run_chaos_point(CONFIG, 1.0))
+        a = run_chaos_point(CONFIG, 1.0).to_dict()
+        b = run_chaos_point(CONFIG, 1.0).to_dict()
         assert a == b
 
     def test_point_round_trips_through_dict(self):
@@ -71,20 +61,23 @@ class TestSweep:
             points[1].reward_rate / points[0].reward_rate)
 
     def test_jobs_reproducible(self):
-        """Acceptance criterion: identical simulated numbers across
-        --jobs (only measured wall clocks may differ)."""
+        """Acceptance criterion: identical points across --jobs."""
         serial = sweep_chaos(CONFIG, [0.5, 1.0], jobs=1)
         parallel = sweep_chaos(CONFIG, [0.5, 1.0], jobs=2)
-        assert [_strip_wall_times(p) for p in serial] == \
-            [_strip_wall_times(p) for p in parallel]
+        assert [p.to_dict() for p in serial] == \
+            [p.to_dict() for p in parallel]
 
     def test_resume_replays_cache(self, tmp_path):
+        from repro import obs
+
         cache = str(tmp_path / "cache")
         first = sweep_chaos(CONFIG, [0.5], cache_dir=cache, resume=False)
-        second = sweep_chaos(CONFIG, [0.5], cache_dir=cache, resume=True)
-        # the cached replay returns the *identical* payload, wall clocks
-        # included — nothing was recomputed
+        with obs.capture() as snapshot:
+            second = sweep_chaos(CONFIG, [0.5], cache_dir=cache, resume=True)
+        # the cached replay returns the identical payload, and nothing
+        # was recomputed: the replay replanned no interval
         assert [p.to_dict() for p in first] == [p.to_dict() for p in second]
+        assert not [s for s in snapshot()["spans"] if s["name"] == "replan"]
 
     def test_metric_snapshots_byte_identical(self):
         """Wall-clock replan times live in spans, never in the metrics

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.experiments import PAPER_SET_1, generate_scenario, scaled_down
 from repro.faults.model import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.policy import FaultAwareController, ReactionPolicy
@@ -84,11 +85,22 @@ class TestCracOutageReaction:
         schedule = FaultSchedule.from_events([
             FaultEvent(start_s=20.0, kind=FaultKind.CRAC_OUTAGE, target=0,
                        duration_s=20.0)])
-        result = _controller(chaos_scenario).run(chaos_trace, HORIZON,
-                                                 schedule)
+        with obs.capture() as snapshot:
+            result = _controller(chaos_scenario).run(chaos_trace, HORIZON,
+                                                     schedule)
         assert [iv.cause for iv in result.intervals] == \
             ["start", "fault:crac_outage", "recovery:crac_outage"]
         assert result.n_replans == 2
+        # MTTR-to-replan is the outage interval's ``replan`` span
+        spans = snapshot()["spans"]
+        (outage_span,) = [s for s in spans if s["name"] == "interval"
+                          and s["attrs"]["cause"] == "fault:crac_outage"]
+        replans = [s for s in spans
+                   if s["path"] == outage_span["path"] + ".replan"
+                   and outage_span["t0"] <= s["t0"]
+                   <= outage_span["t0"] + outage_span["dur"]]
+        assert len(replans) == 1
+        assert replans[0]["dur"] > 0.0
         outage_iv = result.intervals[1]
         # the degraded plan was re-solved, the guard forecast a clean
         # transition, and the transition the room took stayed below
@@ -98,7 +110,6 @@ class TestCracOutageReaction:
         assert outage_iv.transient_overshoot_c is not None
         assert outage_iv.transient_overshoot_c <= 1e-6
         assert outage_iv.violation_minutes == 0.0
-        assert outage_iv.replan_wall_s > 0.0
         # the outage typically costs planned reward (never gains any)
         assert outage_iv.plan_reward_rate \
             <= result.intervals[0].plan_reward_rate + 1e-9

@@ -55,6 +55,26 @@ class TestParser:
         assert args.json
 
 
+class TestRetiredOptions:
+    @staticmethod
+    def _usage_error(capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_fig6_thermal_backend_is_a_usage_error(self, capsys):
+        self._usage_error(capsys, ["fig6", "--thermal-backend", "sparse"],
+                          "--thermal-backend")
+
+    def test_compare_thermal_backend_is_a_usage_error(self, capsys):
+        self._usage_error(capsys, ["compare", "--thermal-backend", "dense"],
+                          "--thermal-backend")
+
+    def test_serve_warm_seed_is_a_usage_error(self, capsys):
+        self._usage_error(capsys, ["serve", "--warm", "seed"], "--warm")
+
+
 class TestCommands:
     def test_tables(self, capsys):
         assert main(["tables"]) == 0

@@ -20,6 +20,8 @@ from repro.thermal import (DEFAULT_COUPLING, SPARSE_AUTO_UNITS,
                            attach_zonal_thermal, zonal_block_alpha,
                            zone_partition)
 
+from tests.thermal.twin import backend_twin
+
 #: Backend agreement tolerance: both paths solve the same well-conditioned
 #: linear system; only the factorization/accumulation order differs.
 ATOL = 1e-9
@@ -32,7 +34,7 @@ RELAXED = settings(max_examples=25, deadline=None,
 def pair(small_dc):
     """The same room under both backends (dense is the oracle)."""
     dense = small_dc.thermal
-    return dense, dense.with_backend("sparse")
+    return dense, backend_twin(dense, "sparse")
 
 
 class TestBackendAgreement:
@@ -149,16 +151,6 @@ class TestBackendSelection:
         model = HeatFlowModel(sp.csr_matrix(dense.alpha), dense.flows,
                               dense.n_crac)
         assert model.backend == "sparse"
-
-    def test_with_backend_memoized_and_roundtrips(self, small_dc):
-        dense = small_dc.thermal
-        sparse = dense.with_backend("sparse")
-        assert sparse.backend == "sparse"
-        assert dense.with_backend("sparse") is sparse
-        assert dense.with_backend("auto") is dense
-        assert dense.with_backend("dense") is dense
-        np.testing.assert_allclose(sparse.mix_dense, dense.mix,
-                                   atol=ATOL)
 
     def test_unknown_backend_rejected(self, small_dc):
         dense = small_dc.thermal

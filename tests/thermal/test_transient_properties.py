@@ -26,6 +26,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.thermal.transient import simulate_transient, time_to_steady_state
 
+from tests.thermal.twin import backend_twin
+
 RELAXED = settings(max_examples=25, deadline=None,
                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -144,7 +146,7 @@ class TestSparseBackendAgreement:
         """The MPC prediction model is backend-independent: sparse and
         dense integrate to the same trajectory within 1e-9."""
         model, t_crac, p, start = _draw_point(data, small_dc)
-        sparse = model.with_backend("sparse")
+        sparse = backend_twin(model, "sparse")
         dense_res = simulate_transient(model, t_crac, p, start,
                                        duration_s=300.0, dt_s=5.0)
         sparse_res = simulate_transient(sparse, t_crac, p, start,
@@ -158,7 +160,7 @@ class TestSparseBackendAgreement:
     @RELAXED
     def test_settling_times_match_dense(self, small_dc, data):
         model, t_crac, p, start = _draw_point(data, small_dc)
-        sparse = model.with_backend("sparse")
+        sparse = backend_twin(model, "sparse")
         dense_tts = time_to_steady_state(model, t_crac, p, start, dt_s=2.0)
         sparse_tts = time_to_steady_state(sparse, t_crac, p, start, dt_s=2.0)
         assert sparse_tts == pytest.approx(dense_tts, abs=2.0)
