@@ -245,7 +245,7 @@ def _solve_three_stage(request: SolveRequest) -> SolveResult:
         request.datacenter, request.workload, request.p_const,
         psi=opt.psi, search=opt.search, warm=ctx)
     state = capture_state(digests, ctx, outcome, method="three_stage",
-                          search=opt.search, psi=opt.psi)
+                          search=opt.search)
     return SolveResult(outcome=outcome, state=state)
 
 
@@ -271,8 +271,7 @@ def _solve_best_psi(request: SolveRequest) -> SolveResult:
     outcome = BestPsiOutcome(by_psi=by_psi)
     children = {
         str(psi): capture_state(child_digests[psi], contexts[psi], result,
-                                method="three_stage", search=opt.search,
-                                psi=psi)
+                                method="three_stage", search=opt.search)
         for psi, result in by_psi.items()
     }
     parent_digests = compute_digests(request.datacenter, request.workload,
@@ -280,9 +279,9 @@ def _solve_best_psi(request: SolveRequest) -> SolveResult:
     best = outcome.best
     state = SolveState(
         method="best_psi", search=opt.search,
-        digests=parent_digests, psi=None,
+        digests=parent_digests,
         t_crac_out=tuple(float(t) for t in best.t_crac_out),
-        objective=float(outcome.reward_rate), children=children)
+        children=children)
     return SolveResult(outcome=outcome, state=state)
 
 
@@ -309,7 +308,7 @@ def _solve_generic(request: SolveRequest, method: str,
         outcome = run(request)
     ctx = WarmContext(stage1_key=digests.stage1)
     state = capture_state(digests, ctx, outcome, method=method,
-                          search=opt.search, psi=None)
+                          search=opt.search)
     return SolveResult(outcome=outcome, state=state)
 
 

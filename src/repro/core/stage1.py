@@ -23,6 +23,7 @@ coarse-to-fine discretized scan (:func:`repro.optimize.search.coarse_to_fine_sea
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +35,9 @@ from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import span as obs_span
 from repro.core.warmstart import WarmContext
 from repro.optimize.linprog import (InfeasibleError, LinearProgram,
-                                    LPSolution)
-from repro.optimize.search import (SearchResult, coarse_to_fine_search,
+                                    LoadedProgram, LPSolution)
+from repro.optimize.search import (SCREEN_DELTA, SearchResult,
+                                   coarse_to_fine_search,
                                    seeded_coordinate_search,
                                    uniform_then_coordinate_search)
 from repro.thermal.constraints import ThermalLinearization
@@ -98,6 +100,57 @@ def _node_segments(datacenter: DataCenter,
 #: Sentinel distinguishing "no cache entry" from a cached infeasibility.
 _LP_MISS = object()
 
+#: Kelvin by which every CRAC inlet must clear the CRAC check's own
+#: tolerance with all cores off before a probe's warm score is used
+#: (see :class:`_OutletProbes`); it absorbs round-off in the inlet map
+#: and basic variables a hair below zero.
+_BASE_VALIDITY_MARGIN = 1e-6
+
+
+def _at_base(datacenter: DataCenter, lin: ThermalLinearization,
+             p_const: float) -> tuple[np.ndarray, float] | None:
+    """``(gain @ base, total power)`` with all cores off, or ``None``
+    when that point already violates a redline or the power cap."""
+    base = datacenter.node_base_power
+    base_inlet_load = lin.inlet_gain @ base
+    if np.any(base_inlet_load > lin.redline_rhs + 1e-9):
+        return None
+    base_total = float(base.sum()) + lin.crac_const + float(lin.crac_coeff @ base)
+    if base_total > p_const + 1e-9:
+        return None
+    return base_inlet_load, base_total
+
+
+def _segment_caps(datacenter: DataCenter,
+                  segments: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  disabled_nodes: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``segments`` with the capacity of disabled nodes' segments zeroed."""
+    node_of_var, caps, slopes = segments
+    if disabled_nodes is not None:
+        disabled_nodes = np.asarray(disabled_nodes, dtype=bool)
+        if disabled_nodes.shape != (datacenter.n_nodes,):
+            raise ValueError("disabled_nodes mask shape mismatch")
+        caps = np.where(disabled_nodes[node_of_var], 0.0, caps)
+    return node_of_var, caps, slopes
+
+
+def _program(lin: ThermalLinearization,
+             segments: tuple[np.ndarray, np.ndarray, np.ndarray],
+             base_inlet_load: np.ndarray, budget: float) -> LinearProgram:
+    """The Stage 1 LP at ``lin``'s outlets: segment variables, the
+    redline rows, then the power row with right-hand side ``budget``."""
+    node_of_var, caps, slopes = segments
+    lp = LinearProgram(name="stage1", maximize=True)
+    lp.add_variables(caps.size, lb=0.0, ub=caps, objective=slopes)
+    # Redline rows: gain[u] @ (base + C) <= redline_rhs[u], the node
+    # coefficients expanded onto segment variables.
+    lp.add_le_rows(lin.inlet_gain[:, node_of_var],
+                   lin.redline_rhs - base_inlet_load)
+    # Power cap: sum_j (1 + crac_coeff_j) * C_j <= Pconst - base_total.
+    lp.add_le_rows((1.0 + lin.crac_coeff)[node_of_var], budget)
+    return lp
+
 
 def solve_stage1_fixed_temps(datacenter: DataCenter,
                              arrs: list[AggregateRewardRate],
@@ -134,22 +187,14 @@ def solve_stage1_fixed_temps(datacenter: DataCenter,
     """
     lin = linearization
     base = datacenter.node_base_power
-    gain = lin.inlet_gain                       # (n_units, n_nodes)
-    # Feasibility with all cores off: redlines and cap at base power.
-    base_inlet_load = gain @ base
-    if np.any(base_inlet_load > lin.redline_rhs + 1e-9):
+    at_base = _at_base(datacenter, lin, p_const)
+    if at_base is None:
         return None
-    base_total = float(base.sum()) + lin.crac_const + float(lin.crac_coeff @ base)
-    if base_total > p_const + 1e-9:
-        return None
-
-    node_of_var, caps, slopes = segments if segments is not None \
-        else _node_segments(datacenter, arrs)
-    if disabled_nodes is not None:
-        disabled_nodes = np.asarray(disabled_nodes, dtype=bool)
-        if disabled_nodes.shape != (datacenter.n_nodes,):
-            raise ValueError("disabled_nodes mask shape mismatch")
-        caps = np.where(disabled_nodes[node_of_var], 0.0, caps)
+    base_inlet_load, base_total = at_base
+    segments = _segment_caps(
+        datacenter, segments if segments is not None
+        else _node_segments(datacenter, arrs), disabled_nodes)
+    node_of_var = segments[0]
     caching = lp_cache is not None and lp_key is not None
     sol = lp_cache.get(lp_key, _LP_MISS) if caching else _LP_MISS
     if sol is None:             # this exact LP was infeasible before
@@ -158,14 +203,7 @@ def solve_stage1_fixed_temps(datacenter: DataCenter,
     if sol is not _LP_MISS:
         obs_metrics.counter("lp.warm_hits.stage1").inc()
     else:
-        lp = LinearProgram(name="stage1", maximize=True)
-        lp.add_variables(caps.size, lb=0.0, ub=caps, objective=slopes)
-        # Redline rows: gain[u] @ (base + C) <= redline_rhs[u], the node
-        # coefficients expanded onto segment variables.
-        lp.add_le_rows(gain[:, node_of_var], lin.redline_rhs - base_inlet_load)
-        # Power cap: sum_j (1 + crac_coeff_j) * C_j <= Pconst - base_total.
-        lp.add_le_rows((1.0 + lin.crac_coeff)[node_of_var],
-                       p_const - base_total)
+        lp = _program(lin, segments, base_inlet_load, p_const - base_total)
         try:
             sol = lp.solve()
         except InfeasibleError:
@@ -195,6 +233,151 @@ def solve_stage1_fixed_temps(datacenter: DataCenter,
         linearization=lin,
         arr_functions=arrs,
     )
+
+
+class _OutletProbes:
+    """Stage 1's objective over CRAC outlet vectors, for one search.
+
+    :meth:`screen` is the search's objective.  It scores a probe on one
+    HiGHS model, loaded at the search's first LP probe and edited in
+    place for each later one (between outlet vectors only the redline
+    right-hand sides and the power row change), each solve warm-started
+    from the basis the previous one left.  The warm solve may stop at
+    another vertex of the degenerate optimum than the cold one, so its
+    score is used only where the vertex cannot matter: the all-cores-off
+    point passes every check, and every CRAC inlet there clears the
+    CRAC check of :func:`solve_stage1_fixed_temps` by
+    :data:`_BASE_VALIDITY_MARGIN`.  The gains into the CRAC inlets are
+    non-negative, so every vertex then passes that check, and the probe
+    is worth its LP objective.  Any other probe, and any probe HiGHS
+    does not solve to optimality warm, is solved cold.
+
+    :meth:`exact` solves a probe cold through
+    :func:`solve_stage1_fixed_temps`: the search calls it for both sides
+    of a comparison too close to call on warm scores, and for its
+    winner, so the committed :class:`Stage1Solution`, the search score
+    and every ``lp_cache`` entry come from cold solves.  Warm scores are
+    kept in ``screen_cache`` under the ``lp_cache`` key, for the next
+    search of a warm-start chain.
+    """
+
+    def __init__(self, datacenter: DataCenter,
+                 arrs: list[AggregateRewardRate],
+                 lin_of: Callable[[np.ndarray], ThermalLinearization],
+                 p_const: float, disabled_nodes: np.ndarray | None,
+                 segments: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 lp_cache: dict[str, LPSolution | None] | None,
+                 screen_cache: dict[str, float] | None, key_prefix: str):
+        self.datacenter = datacenter
+        self.arrs = arrs
+        self.lin_of = lin_of
+        self.p_const = p_const
+        self.disabled_nodes = disabled_nodes
+        self.segments = segments
+        self.capped = _segment_caps(datacenter, segments, disabled_nodes)
+        self.lp_cache = lp_cache
+        self.screen_cache = screen_cache
+        self.key_prefix = key_prefix
+        #: cold outcome per outlet vector solved cold (``tobytes`` key)
+        self.solutions: dict[bytes, Stage1Solution | None] = {}
+        self.screened: dict[bytes, float] = {}
+        self.probes = self.infeasible = 0
+        self._model: LoadedProgram | None = None
+        self._gain: np.ndarray | None = None
+
+    def _key(self, t_key: bytes) -> str | None:
+        if self.lp_cache is None:
+            return None
+        return self.key_prefix + t_key.hex()
+
+    def screen(self, t_vec: np.ndarray) -> float | None:
+        self.probes += 1
+        score = self._screen(t_vec)
+        if score is None:
+            self.infeasible += 1
+        return score
+
+    def _screen(self, t_vec: np.ndarray) -> float | None:
+        t_key = t_vec.tobytes()
+        if t_key in self.solutions or t_key in self.screened:
+            # a probe this search already solved, cold or warm
+            obs_metrics.counter("lp.warm_hits.stage1").inc()
+            if t_key in self.solutions:
+                return self._objective(t_key)
+            return self.screened[t_key]
+        key = self._key(t_key)
+        if key is not None and key in self.lp_cache:
+            return self._exact(t_vec)
+        if key is not None and key in self.screen_cache:
+            obs_metrics.counter("lp.warm_hits.stage1").inc()
+            score = self.screened[t_key] = self.screen_cache[key]
+            return score
+        lin = self.lin_of(t_vec)
+        at_base = _at_base(self.datacenter, lin, self.p_const)
+        if at_base is None:
+            return None
+        score = None
+        if self._vertex_independent(lin, at_base[0]):
+            score = self._warm_objective(lin, *at_base)
+        if score is None:
+            obs_metrics.counter("stage1.cold_fallbacks").inc()
+            return self._exact(t_vec)
+        self.screened[t_key] = score
+        if key is not None:
+            self.screen_cache[key] = score
+        return score
+
+    def _vertex_independent(self, lin: ThermalLinearization,
+                            base_inlet_load: np.ndarray) -> bool:
+        n_crac = lin.t_crac_out.size
+        if lin.inlet_gain is not self._gain:
+            if not (lin.inlet_gain[:n_crac] >= 0.0).all():
+                return False
+        t_in = lin.inlet_const[:n_crac] + base_inlet_load[:n_crac]
+        return bool(np.all(t_in >= lin.t_crac_out - 1e-6
+                           + _BASE_VALIDITY_MARGIN))
+
+    def _warm_objective(self, lin: ThermalLinearization,
+                        base_inlet_load: np.ndarray,
+                        base_total: float) -> float | None:
+        budget = self.p_const - base_total
+        if lin.inlet_gain is not self._gain:
+            # a new redline matrix (the search's first LP probe): load it
+            self._model = _program(lin, self.capped, base_inlet_load,
+                                   budget).load()
+            self._gain = lin.inlet_gain
+        else:
+            self._model.set_upper(np.append(
+                lin.redline_rhs - base_inlet_load, budget))
+            self._model.set_row(lin.redline_rhs.size,
+                                (1.0 + lin.crac_coeff)[self.capped[0]])
+        return self._model.objective()
+
+    def _objective(self, t_key: bytes) -> float | None:
+        sol = self.solutions[t_key]
+        return None if sol is None else sol.objective
+
+    def exact(self, t_vec: np.ndarray) -> float | None:
+        if t_vec.tobytes() not in self.solutions:
+            # one HiGHS model at a time (a later warm probe reloads it)
+            self._model = self._gain = None
+        return self._exact(t_vec)
+
+    def _exact(self, t_vec: np.ndarray) -> float | None:
+        t_key = t_vec.tobytes()
+        if t_key not in self.solutions:
+            sol = solve_stage1_fixed_temps(
+                self.datacenter, self.arrs, self.lin_of(t_vec), self.p_const,
+                disabled_nodes=self.disabled_nodes, segments=self.segments,
+                lp_cache=self.lp_cache, lp_key=self._key(t_key))
+            self.solutions[t_key] = sol
+            warm = self.screened.get(t_key)
+            if warm is not None:
+                obs_metrics.counter("stage1.cold_commits").inc()
+                if sol is None or abs(sol.objective - warm) > \
+                        SCREEN_DELTA / 2 * max(1.0, abs(sol.objective)):
+                    obs_metrics.counter("stage1.screen_disagreements").inc()
+        return self._objective(t_key)
 
 
 def distribute_node_power(datacenter: DataCenter,
@@ -276,54 +459,46 @@ def solve_stage1(datacenter: DataCenter, workload: Workload, *,
                                   dtype=bool).tobytes().hex()
     key_prefix = f"{warm.stage1_key if warm is not None else ''}" \
                  f"|d{disabled_key}|t"
-    best: dict[bytes, Stage1Solution] = {}
-    probes = infeasible = 0
 
-    def objective(t_vec: np.ndarray) -> float | None:
-        nonlocal probes, infeasible
-        probes += 1
+    def lin_of(t_vec: np.ndarray) -> ThermalLinearization:
         t_key = t_vec.tobytes()
         lin = lin_cache.get(t_key)
         if lin is None:
             lin = ThermalLinearization.build(model, t_vec, redline,
                                              cop_model)
             lin_cache[t_key] = lin
-        sol = solve_stage1_fixed_temps(
-            datacenter, arrs, lin, p_const, disabled_nodes=disabled_nodes,
-            segments=segments, lp_cache=lp_cache,
-            lp_key=key_prefix + t_key.hex() if lp_cache is not None
-            else None)
-        if sol is None:
-            infeasible += 1
-            return None
-        best[t_key] = sol
-        return sol.objective
+        return lin
 
+    probes = _OutletProbes(
+        datacenter, arrs, lin_of, p_const, disabled_nodes, segments,
+        lp_cache, warm.screen_cache if warm is not None else None,
+        key_prefix)
     seed = warm.seed_t if warm is not None else None
     with obs_span("stage1", mode=search, n_crac=datacenter.n_crac):
         result = None
         if search == "fast":
             if seed is not None:
                 result = seeded_coordinate_search(
-                    objective, seed, datacenter.n_crac, min(lows),
-                    max(highs), step=final_step, maximize=True)
+                    probes.screen, seed, datacenter.n_crac, min(lows),
+                    max(highs), step=final_step, maximize=True,
+                    exact=probes.exact)
                 if result is not None:
                     obs_metrics.counter("stage1.warm_seeded").inc()
             if result is None:
                 result = uniform_then_coordinate_search(
-                    objective, datacenter.n_crac, min(lows), max(highs),
-                    step=final_step, maximize=True)
+                    probes.screen, datacenter.n_crac, min(lows), max(highs),
+                    step=final_step, maximize=True, exact=probes.exact)
         elif search == "full":
             result = coarse_to_fine_search(
-                objective, datacenter.n_crac, min(lows), max(highs),
+                probes.screen, datacenter.n_crac, min(lows), max(highs),
                 coarse_step=coarse_step, final_step=final_step,
-                uniform_first=True, maximize=True)
+                uniform_first=True, maximize=True, exact=probes.exact)
         else:
             raise ValueError(
                 f"unknown search mode {search!r} (use 'fast' or 'full')")
-        obs_annotate(probes=probes, infeasible_probes=infeasible,
+        obs_annotate(probes=probes.probes, infeasible_probes=probes.infeasible,
                      warm_seeded=seed is not None)
-        obs_metrics.counter("stage1.probes").inc(probes)
-        obs_metrics.counter("stage1.infeasible_probes").inc(infeasible)
-    solution = best[result.temperatures.tobytes()]
+        obs_metrics.counter("stage1.probes").inc(probes.probes)
+        obs_metrics.counter("stage1.infeasible_probes").inc(probes.infeasible)
+    solution = probes.solutions[result.temperatures.tobytes()]
     return solution, result

@@ -143,8 +143,11 @@ class WarmContext:
     * ``arrs`` / ``segments`` / ``lin_cache`` — pure functions of the
       structure digest; reuse is value-exact at any level ≥ structure.
     * ``lp_cache`` — keyed by ``stage1_key`` plus the probe temperature,
-      so entries self-invalidate when the cap changes; replay is
-      bit-exact.
+      so entries self-invalidate when the cap changes; entries come
+      from cold solves only, and replay is bit-exact.
+    * ``screen_cache`` — the warm screening scores of Stage 1's probes
+      under the same keys; a search decides on one only where it could
+      not flip the decision (:mod:`repro.optimize.search`).
     * ``seed_t`` — starting vector for the coordinate descent, set only
       at level ``stage1``, where it is exact (the incumbent optimum of
       the identical search problem).
@@ -160,6 +163,7 @@ class WarmContext:
     segments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     lin_cache: dict[bytes, Any] = field(default_factory=dict)
     lp_cache: dict[str, "LPSolution | None"] = field(default_factory=dict)
+    screen_cache: dict[str, float] = field(default_factory=dict)
     prev_stage1: "Stage1Solution | None" = None
     prev_stage2: "Stage2Solution | None" = None
     outcome: "AssignmentResult | None" = None
@@ -179,9 +183,7 @@ class SolveState:
     method: str
     search: str
     digests: Digests
-    psi: float | None = None
     t_crac_out: tuple[float, ...] | None = None
-    objective: float | None = None
     children: dict[str, "SolveState"] = field(default_factory=dict)
     runtime: WarmContext | None = field(default=None, repr=False,
                                         compare=False)
@@ -247,8 +249,10 @@ def prepare_context(state: SolveState | None, digests: Digests, *,
         ctx.segments = rt.segments
         ctx.lin_cache = rt.lin_cache
         ctx.lp_cache = rt.lp_cache
-        if len(ctx.lp_cache) > _LP_CACHE_LIMIT:
-            ctx.lp_cache.clear()
+        ctx.screen_cache = rt.screen_cache
+        for cache in (ctx.lp_cache, ctx.screen_cache):
+            if len(cache) > _LP_CACHE_LIMIT:
+                cache.clear()
     if rt is not None:
         ctx.prev_stage1 = rt.prev_stage1
         ctx.prev_stage2 = rt.prev_stage2
@@ -267,8 +271,7 @@ def prepare_context(state: SolveState | None, digests: Digests, *,
 
 
 def capture_state(digests: Digests, ctx: WarmContext, outcome: Any, *,
-                  method: str, search: str,
-                  psi: float | None) -> SolveState:
+                  method: str, search: str) -> SolveState:
     """Package the caches accumulated during a solve into a new state."""
     ctx.outcome = outcome
     t_out = getattr(outcome, "t_crac_out", None)
@@ -281,9 +284,7 @@ def capture_state(digests: Digests, ctx: WarmContext, outcome: Any, *,
         method=method,
         search=search,
         digests=digests,
-        psi=psi,
         t_crac_out=None if t_out is None else tuple(float(t)
                                                     for t in t_out),
-        objective=float(outcome.reward_rate),
         runtime=ctx,
     )

@@ -19,6 +19,7 @@ import numpy as np
 from repro.datacenter.builder import DataCenter
 from repro.optimize.search import coarse_to_fine_search
 from repro.power.crac import heat_removed_kw
+from repro.thermal.heatflow import _FEASIBILITY_TOL
 
 __all__ = ["PowerBreakdown", "total_power", "power_bounds", "PowerBounds"]
 
@@ -98,18 +99,38 @@ class PowerBounds:
 def _min_total_over_outlets(datacenter: DataCenter,
                             node_power_kw: np.ndarray,
                             final_step: float) -> tuple[float, np.ndarray]:
-    """Minimize total power over CRAC outlet temperatures (Eq. 17)."""
+    """Minimize total power over CRAC outlet temperatures (Eq. 17).
+
+    The node powers are fixed, so their inlet heating ``G @ P`` and
+    their total are computed once, and each CRAC's CoP once per outlet
+    temperature; each probe then prices exactly as :func:`total_power`
+    does, with the redline test of the steady state in between.
+    """
     model = datacenter.require_thermal()
-    redline = datacenter.redline_c
+    redline = np.asarray(datacenter.redline_c, dtype=float)
     lows = [c.outlet_range_c[0] for c in datacenter.cracs]
     highs = [c.outlet_range_c[1] for c in datacenter.cracs]
+    p = np.asarray(node_power_kw, dtype=float)
+    t_base = model.inlet_base
+    gp = model.apply_gain(p)
+    node_total = float(p.sum())
+    n_crac = datacenter.n_crac
+    cops: dict[tuple[int, float], float] = {}
+
+    def cop_of(i: int, t: float) -> float:
+        cop = cops.get((i, t))
+        if cop is None:
+            cop = cops[i, t] = datacenter.cracs[i].cop_model(t)
+        return cop
 
     def objective(t_vec: np.ndarray) -> float | None:
-        # one steady state serves both the redline check and the pricing
-        state = model.steady_state(t_vec, node_power_kw)
-        if not state.within_redline(redline):
+        t_in = t_base @ t_vec + gp
+        if not (redline - t_in >= -_FEASIBILITY_TOL).all():
             return None
-        return _price(datacenter, t_vec, node_power_kw, state.t_in).total
+        cop = np.asarray([cop_of(i, t) for i, t in enumerate(t_vec)])
+        crac_kw = heat_removed_kw(datacenter.crac_flows, t_in[:n_crac],
+                                  t_vec) / cop
+        return node_total + float(crac_kw.sum())
 
     try:
         result = coarse_to_fine_search(

@@ -82,7 +82,7 @@ def steady_state_batch(model: "HeatFlowModel", t_crac_out: np.ndarray,
     :class:`~repro.thermal.heatflow.HeatFlowModel`; evaluating a batch
     is then two GEMMs against the affine pieces on the dense backend,
     or multi-right-hand-side triangular solves against the cached
-    ``splu`` factorization on the sparse one
+    SuperLU factorization on the sparse one
     (:meth:`~repro.thermal.heatflow.HeatFlowModel.batch_inlet` — the
     dense expression is unchanged bit-for-bit).  Agrees with the
     per-row reference within float tolerance (BLAS accumulation order).

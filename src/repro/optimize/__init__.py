@@ -5,7 +5,8 @@ assignment is built from; nothing in this subpackage knows about data
 centers.
 """
 
-from repro.optimize.linprog import InfeasibleError, LinearProgram, LPSolution
+from repro.optimize.linprog import (InfeasibleError, LinearProgram,
+                                    LoadedProgram, LPSolution)
 from repro.optimize.piecewise import PiecewiseLinear, Segment, concave_majorant_points
 from repro.optimize.search import (SearchResult, coarse_to_fine_search,
                                    temperature_grid,
@@ -14,6 +15,7 @@ from repro.optimize.search import (SearchResult, coarse_to_fine_search,
 __all__ = [
     "InfeasibleError",
     "LinearProgram",
+    "LoadedProgram",
     "LPSolution",
     "PiecewiseLinear",
     "Segment",

@@ -35,7 +35,7 @@ status codes and its post-solve feasibility check, but makes none of
 bound marginals.
 
 ``_core`` is loaded from scipy's ``optimize/_highspy`` directory by
-itself (:func:`_load_highs_core`) rather than imported: importing it
+itself (:func:`_load_extension`) rather than imported: importing it
 runs ``scipy/optimize/__init__.py``, which loads ``scipy.linalg``,
 ``scipy.special``, ``scipy.fft`` and ``scipy.spatial``, none of which
 the library calls, at ~24 MB of peak RSS and ~0.3 s of start-up per
@@ -63,33 +63,34 @@ from repro.obs.trace import span as obs_span
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["LinearProgram", "LPSolution", "InfeasibleError", "CooRows",
-           "grouped_rows", "issparse"]
+__all__ = ["LinearProgram", "LoadedProgram", "LPSolution", "InfeasibleError",
+           "CooRows", "grouped_rows", "issparse"]
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
-def _load_highs_core(directory: str) -> ModuleType:
-    """scipy's HiGHS extension, loaded from ``directory`` by itself.
+def _load_extension(name: str, directory: str) -> ModuleType:
+    """scipy's extension module ``name``, loaded from ``directory`` by
+    itself, without running the ``__init__.py`` of its packages.
 
     The module is registered in ``sys.modules`` under its full name, so
-    a later ``import scipy.optimize`` reuses this module object; an
-    entry already there is returned as is.
+    a later import of its package reuses this module object; an entry
+    already there is returned as is.
     """
-    if _HIGHS_CORE in sys.modules:
-        return sys.modules[_HIGHS_CORE]
-    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [directory])
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
     if spec is None:
-        raise ImportError(f"{_HIGHS_CORE} not found in {directory}; the "
-                          "LP solver needs scipy>=1.15", name=_HIGHS_CORE)
+        raise ImportError(f"{name} not found in {directory}; the library "
+                          "needs scipy>=1.15", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[_HIGHS_CORE] = module
+    sys.modules[name] = module
     return module
 
 
-highs = _load_highs_core(
-    os.path.join(scipy.__path__[0], "optimize", "_highspy"))
+highs = _load_extension(
+    _HIGHS_CORE, os.path.join(scipy.__path__[0], "optimize", "_highspy"))
 
 
 class InfeasibleError(RuntimeError):
@@ -387,12 +388,30 @@ class LinearProgram:
                       constraints=self.num_constraints, nnz=self.nnz):
             return self._solve(require_feasible)
 
-    def _solve(self, require_feasible: bool) -> LPSolution:
-        obs_metrics.counter(f"lp.solves.{self.name}").inc()
-        obs_metrics.histogram(f"lp.vars.{self.name}").observe(self._num_vars)
-        obs_metrics.histogram(
-            f"lp.constraints.{self.name}").observe(self.num_constraints)
-        obs_metrics.histogram(f"lp.nnz.{self.name}").observe(self.nnz)
+    def load(self) -> "LoadedProgram":
+        """The program loaded into HiGHS, to be edited and re-solved in
+        place (see :class:`LoadedProgram`).
+
+        Raises ``ValueError`` as :meth:`solve` does, and when HiGHS
+        rejects the model.
+        """
+        if self._num_vars == 0:
+            raise ValueError(f"LP '{self.name}' has no variables")
+        model, *_ = self._model()
+        solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+        if solver.passModel(model) == highs.HighsStatus.kError:
+            raise ValueError(f"LP '{self.name}': HiGHS rejected the model")
+        return LoadedProgram(solver, name=self.name, maximize=self.maximize,
+                             n_le=self._le.n_rows,
+                             attrs=dict(vars=self._num_vars,
+                                        constraints=self.num_constraints,
+                                        nnz=self.nnz))
+
+    def _model(self) -> tuple["highs.HighsLp", np.ndarray, int, np.ndarray,
+                              np.ndarray]:
+        """``(model, rhs, n_le, lb, ub)``: the program as HiGHS's model,
+        its right-hand sides (``<=`` rows first) and its bounds."""
         n = self._num_vars
         c = np.asarray(self._obj, dtype=float)
         if self.maximize:
@@ -429,6 +448,16 @@ class LinearProgram:
         model.col_upper_ = ub
         model.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
         model.row_upper_ = rhs
+        return model, rhs, b_ub.size, lb, ub
+
+    def _solve(self, require_feasible: bool) -> LPSolution:
+        obs_metrics.counter(f"lp.solves.{self.name}").inc()
+        obs_metrics.histogram(f"lp.vars.{self.name}").observe(self._num_vars)
+        obs_metrics.histogram(
+            f"lp.constraints.{self.name}").observe(self.num_constraints)
+        obs_metrics.histogram(f"lp.nnz.{self.name}").observe(self.nnz)
+        n = self._num_vars
+        model, rhs, n_le, lb, ub = self._model()
         solver = highs._Highs()
         solver.passOptions(_OPTIONS)
         loaded = solver.passModel(model) != highs.HighsStatus.kError
@@ -451,7 +480,7 @@ class LinearProgram:
             model_status, (4, "The HiGHS status code was not recognized. "))
         message = f"{message}(HiGHS Status {int(model_status)}: {detail})"
         if x is not None and not self._feasible(x, obj, rhs - row_value,
-                                                b_ub.size, lb, ub):
+                                                n_le, lb, ub):
             status = 4
             message = (f"The solution does not satisfy the constraints "
                        f"within the required tolerance of "
@@ -479,3 +508,57 @@ class LinearProgram:
         return bool(np.all(x >= lb - tol) and np.all(x <= ub + tol)
                     and not (slack[:n_ub] < -tol).any()
                     and not (np.abs(slack[n_ub:]) > tol).any())
+
+
+class LoadedProgram:
+    """A linear program kept loaded in HiGHS and re-solved in place.
+
+    :meth:`LinearProgram.load` builds it.  The first :meth:`objective`
+    call solves the program as :meth:`LinearProgram.solve` would; each
+    later call starts from the basis the previous one left, and HiGHS
+    skips presolve when it holds a basis, so a chain of programs that
+    differ in a few right-hand sides and coefficients costs a fraction
+    of solving each cold.  A warm solve can stop at another vertex of a
+    degenerate optimum than the cold one, and its objective agrees with
+    the cold one only within the solver's tolerances, so it reports the
+    objective alone: a screening score, never a vertex.
+
+    Each solve runs in an ``lp`` span named after the program and
+    counts in ``lp.warm_solves.<name>``, apart from the cold
+    ``lp.solves.<name>``.
+    """
+
+    def __init__(self, solver: "highs._Highs", *, name: str,
+                 maximize: bool, n_le: int, attrs: dict[str, int]):
+        self._solver = solver
+        self.name = name
+        self._sign = -1.0 if maximize else 1.0
+        self._n_le = n_le
+        self._attrs = attrs
+
+    def set_upper(self, rhs: np.ndarray) -> None:
+        """Set the right-hand side of every ``<=`` row."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self._n_le,):
+            raise ValueError(f"expected {self._n_le} right-hand sides, "
+                             f"got {rhs.shape}")
+        change = self._solver.changeRowBounds
+        for row, upper in enumerate(rhs.tolist()):
+            change(row, -np.inf, upper)
+
+    def set_row(self, row: int, values: np.ndarray) -> None:
+        """Set row ``row``'s coefficient of every variable, in order."""
+        change = self._solver.changeCoeff
+        for col, value in enumerate(np.asarray(values, dtype=float).tolist()):
+            change(row, col, value)
+
+    def objective(self) -> float | None:
+        """Re-solve; the optimal objective in the caller's sense, or
+        ``None`` when HiGHS reports anything but optimal."""
+        with obs_span("lp", lp=self.name, warm=True, **self._attrs):
+            obs_metrics.counter(f"lp.warm_solves.{self.name}").inc()
+            solver = self._solver
+            if solver.run() == highs.HighsStatus.kError \
+                    or solver.getModelStatus() != _STATUS.kOptimal:
+                return None
+            return self._sign * solver.getInfo().objective_function_value

@@ -14,6 +14,15 @@ the number of grid points grows exponentially with the number of CRAC
 units, :func:`coarse_to_fine_search` also supports an optional
 "uniform first" pass that scans a common temperature for all CRACs
 before searching the full product grid in a narrowed window.
+
+Every search also takes an ``exact`` objective, for callers whose
+``objective`` is a cheap *screening* score that agrees with the exact
+one closely.  Such a search decides a comparison on screened scores
+only when they clear it by more than :data:`SCREEN_DELTA` (relative);
+otherwise it compares the exact scores of both sides.  It reports the
+winner's exact score, so, as long as every screened score is within
+``SCREEN_DELTA / 2`` (relative) of its exact one, it takes the same
+steps and returns the same result as the search run on ``exact`` alone.
 """
 
 from __future__ import annotations
@@ -24,12 +33,21 @@ from typing import Callable
 
 import numpy as np
 
+from repro.obs import metrics as obs_metrics
+
 __all__ = ["SearchResult", "coarse_to_fine_search", "temperature_grid",
            "uniform_then_coordinate_search", "seeded_coordinate_search"]
 
 #: Objective signature: maps an outlet-temperature vector to a scalar
 #: score, or ``None``/``-inf`` when the temperatures are infeasible.
 Objective = Callable[[np.ndarray], float | None]
+
+#: Relative half-width of the band around a comparison inside which
+#: screened scores do not decide it: a candidate ``s`` beats ``best`` by
+#: ``margin`` on screened scores when ``s - best - margin`` exceeds
+#: ``SCREEN_DELTA * max(1, |best|)``, loses when it is below the
+#: negative of that, and is compared on exact scores in between.
+SCREEN_DELTA = 1e-6
 
 
 @dataclass
@@ -61,6 +79,53 @@ def temperature_grid(low: float, high: float, step: float) -> np.ndarray:
     return low + step * np.arange(n)
 
 
+class _Scores:
+    """The scores one search sees: counts objective evaluations and
+    decides comparisons, on exact scores where screened ones are too
+    close to call.  Scores are signed so that larger is better, and
+    ``-inf`` stands for infeasible (a screen reports infeasibility only
+    when it is exact)."""
+
+    def __init__(self, objective: Objective, exact: Objective | None,
+                 maximize: bool):
+        self.objective = objective
+        self.exact = exact
+        self.sign = 1.0 if maximize else -1.0
+        self.evaluations = 0
+
+    def _signed(self, value: float | None) -> float:
+        if value is None or not np.isfinite(value):
+            return -np.inf
+        return self.sign * value
+
+    def __call__(self, t_vec: np.ndarray) -> float:
+        self.evaluations += 1
+        return self._signed(self.objective(t_vec))
+
+    def settle(self, t_vec: np.ndarray, score: float) -> float:
+        """The exact score at ``t_vec``, whose screened score is ``score``."""
+        if self.exact is None or not np.isfinite(score):
+            return score
+        return self._signed(self.exact(t_vec))
+
+    def beats(self, s: float, t_vec: np.ndarray, best: float,
+              best_t: np.ndarray | None, margin: float = 0.0
+              ) -> tuple[bool, float, float]:
+        """Whether ``s`` at ``t_vec`` beats ``best`` at ``best_t`` by more
+        than ``margin``, with both scores as the decision left them."""
+        if self.exact is not None and np.isfinite(s) and np.isfinite(best):
+            gap = s - best - margin
+            if abs(gap) <= SCREEN_DELTA * max(1.0, abs(best)):
+                obs_metrics.counter("search.near_ties").inc()
+                s, best = self.settle(t_vec, s), self.settle(best_t, best)
+        return s > best + margin, s, best
+
+    def result(self, best_t: np.ndarray, best: float) -> SearchResult:
+        return SearchResult(temperatures=best_t,
+                            score=self.sign * self.settle(best_t, best),
+                            evaluations=self.evaluations)
+
+
 def coarse_to_fine_search(objective: Objective,
                           n_crac: int,
                           low: float,
@@ -70,7 +135,8 @@ def coarse_to_fine_search(objective: Objective,
                           refinement_factor: float = 4.0,
                           final_step: float = 1.0,
                           uniform_first: bool = True,
-                          maximize: bool = True) -> SearchResult:
+                          maximize: bool = True,
+                          exact: Objective | None = None) -> SearchResult:
     """Multi-step discretized search over CRAC outlet temperatures.
 
     Parameters
@@ -98,6 +164,9 @@ def coarse_to_fine_search(objective: Objective,
         evaluations.
     maximize:
         Sense of the objective.
+    exact:
+        The exact objective when ``objective`` screens (module
+        docstring).
 
     Raises
     ------
@@ -106,19 +175,16 @@ def coarse_to_fine_search(objective: Objective,
     """
     if n_crac <= 0:
         raise ValueError(f"n_crac must be positive, got {n_crac}")
-    sign = 1.0 if maximize else -1.0
+    scores = _Scores(objective, exact, maximize)
     best_t: np.ndarray | None = None
     best_score = -np.inf
-    evaluations = 0
 
     def consider(t_vec: np.ndarray) -> None:
-        nonlocal best_t, best_score, evaluations
-        evaluations += 1
-        score = objective(t_vec)
-        if score is None or not np.isfinite(score):
-            return
-        if sign * score > best_score:
-            best_score = sign * score
+        nonlocal best_t, best_score
+        wins, s, best_score = scores.beats(scores(t_vec), t_vec, best_score,
+                                           best_t)
+        if wins:
+            best_score = s
             best_t = t_vec.copy()
 
     # -- coarse pass ---------------------------------------------------
@@ -161,8 +227,31 @@ def coarse_to_fine_search(objective: Objective,
         for combo in itertools.product(*axes):
             consider(np.asarray(combo))
 
-    return SearchResult(temperatures=best_t, score=sign * best_score,
-                        evaluations=evaluations)
+    return scores.result(best_t, best_score)
+
+
+def _descend(scores: _Scores, best_t: np.ndarray, best_score: float,
+             low: float, high: float, step: float, max_sweeps: int
+             ) -> SearchResult:
+    """Coordinate descent from a feasible incumbent: move each CRAC by
+    ``+-step`` while a move improves the score by more than 1e-12,
+    for at most ``max_sweeps`` sweeps."""
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(best_t.size):
+            for delta in (step, -step):
+                cand = best_t.copy()
+                cand[i] = np.clip(cand[i] + delta, low, high)
+                if cand[i] == best_t[i]:
+                    continue
+                wins, s, best_score = scores.beats(
+                    scores(cand), cand, best_score, best_t, 1e-12)
+                if wins:
+                    best_score, best_t = s, cand
+                    improved = True
+        if not improved:
+            break
+    return scores.result(best_t, best_score)
 
 
 def uniform_then_coordinate_search(objective: Objective,
@@ -172,7 +261,9 @@ def uniform_then_coordinate_search(objective: Objective,
                                    *,
                                    step: float = 1.0,
                                    max_sweeps: int = 8,
-                                   maximize: bool = True) -> SearchResult:
+                                   maximize: bool = True,
+                                   exact: Objective | None = None
+                                   ) -> SearchResult:
     """Scalar scan of a common outlet temperature, then coordinate descent.
 
     The paper notes the product grid "increases exponentially with the
@@ -181,51 +272,28 @@ def uniform_then_coordinate_search(objective: Objective,
     the final granularity (``g`` evaluations), then repeatedly try moving
     each CRAC individually by ``+-step`` until a full sweep yields no
     improvement.  Complexity is ``O(g + sweeps * n_crac)`` objective
-    evaluations, versus ``O(g**n_crac)`` for the full grid.
+    evaluations, versus ``O(g**n_crac)`` for the full grid.  ``exact``
+    is the exact objective when ``objective`` screens (module
+    docstring).
 
     Raises ``RuntimeError`` when no feasible point exists on the scalar
     scan (coordinate moves start from a feasible incumbent).
     """
     if n_crac <= 0:
         raise ValueError(f"n_crac must be positive, got {n_crac}")
-    sign = 1.0 if maximize else -1.0
-    evaluations = 0
-
-    def score_of(t_vec: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        s = objective(t_vec)
-        if s is None or not np.isfinite(s):
-            return -np.inf
-        return sign * s
-
+    scores = _Scores(objective, exact, maximize)
     best_t: np.ndarray | None = None
     best_score = -np.inf
     for t in temperature_grid(low, high, step):
         vec = np.full(n_crac, t)
-        s = score_of(vec)
-        if s > best_score:
+        wins, s, best_score = scores.beats(scores(vec), vec, best_score,
+                                           best_t)
+        if wins:
             best_score, best_t = s, vec
     if best_t is None or not np.isfinite(best_score):
         raise RuntimeError(
             f"no feasible uniform CRAC outlet temperature in [{low}, {high}]")
-
-    for _ in range(max_sweeps):
-        improved = False
-        for i in range(n_crac):
-            for delta in (step, -step):
-                cand = best_t.copy()
-                cand[i] = np.clip(cand[i] + delta, low, high)
-                if cand[i] == best_t[i]:
-                    continue
-                s = score_of(cand)
-                if s > best_score + 1e-12:
-                    best_score, best_t = s, cand
-                    improved = True
-        if not improved:
-            break
-    return SearchResult(temperatures=best_t, score=sign * best_score,
-                        evaluations=evaluations)
+    return _descend(scores, best_t, best_score, low, high, step, max_sweeps)
 
 
 def seeded_coordinate_search(objective: Objective,
@@ -236,7 +304,9 @@ def seeded_coordinate_search(objective: Objective,
                              *,
                              step: float = 1.0,
                              max_sweeps: int = 8,
-                             maximize: bool = True) -> SearchResult | None:
+                             maximize: bool = True,
+                             exact: Objective | None = None
+                             ) -> SearchResult | None:
     """Coordinate descent from a known-good starting vector.
 
     The warm-started variant of
@@ -245,46 +315,21 @@ def seeded_coordinate_search(objective: Objective,
     epoch's optimal outlet temperatures.  The ``+-step`` moves and the
     ``1e-12`` acceptance threshold are identical to the cold search, so
     when the seed is the cold search's own optimum it is a fixed point
-    of the descent and the result is bit-identical to cold.
+    of the descent and the result is bit-identical to cold.  ``exact``
+    is the exact objective when ``objective`` screens (module
+    docstring).
 
     Returns ``None`` when the seed itself is infeasible (the caller
     should fall back to the cold search rather than fail).
     """
     if n_crac <= 0:
         raise ValueError(f"n_crac must be positive, got {n_crac}")
-    sign = 1.0 if maximize else -1.0
-    evaluations = 0
-
-    def score_of(t_vec: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        s = objective(t_vec)
-        if s is None or not np.isfinite(s):
-            return -np.inf
-        return sign * s
-
+    scores = _Scores(objective, exact, maximize)
     best_t = np.clip(np.asarray(seed, dtype=float).copy(), low, high)
     if best_t.shape != (n_crac,):
         raise ValueError(
             f"seed shape {best_t.shape} does not match n_crac={n_crac}")
-    best_score = score_of(best_t)
+    best_score = scores(best_t)
     if not np.isfinite(best_score):
         return None
-
-    for _ in range(max_sweeps):
-        improved = False
-        for i in range(n_crac):
-            for delta in (step, -step):
-                cand = best_t.copy()
-                cand[i] = np.clip(cand[i] + delta, low, high)
-                if cand[i] == best_t[i]:
-                    continue
-                s = score_of(cand)
-                if s > best_score + 1e-12:
-                    best_score, best_t = s, cand
-                    improved = True
-        if not improved:
-            break
-    return SearchResult(temperatures=best_t, score=sign * best_score,
-                        evaluations=evaluations)
-
+    return _descend(scores, best_t, best_score, low, high, step, max_sweeps)

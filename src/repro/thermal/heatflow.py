@@ -26,8 +26,9 @@ Two storage/solver backends expose the same contract
     matrix-vector product.  O(n^3) build, O(n^2) memory.
 ``sparse``
     For large rooms with block-sparse coupling: ``alpha``/``mix`` stay
-    in CSR, ``I - A_MM`` is factored once with ``scipy.sparse.linalg
-    .splu`` and solved on demand; ``G`` is never materialized unless a
+    in CSR, ``I - A_MM`` is factored once with SuperLU (as
+    ``scipy.sparse.linalg.splu`` does, see :func:`_splu`) and solved on
+    demand; ``G`` is never materialized unless a
     caller asks for :attr:`HeatFlowModel.inlet_gain` (scale-aware
     callers use :meth:`HeatFlowModel.gain_rows` /
     :meth:`HeatFlowModel.apply_gain` instead).
@@ -42,15 +43,17 @@ compute nodes, matching Section IV's ``T_out`` vector.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy
 
 from repro.kernels import vectorized
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
-from repro.optimize.linprog import issparse
+from repro.optimize.linprog import _load_extension, issparse
 from repro.units import AIR_DENSITY, AIR_SPECIFIC_HEAT
 
 if TYPE_CHECKING:
@@ -75,6 +78,32 @@ GAIN_ROWS_CHUNK: int = 256
 #: round-off) are clamped to 0 so no negative coefficient reaches
 #: ``mix`` or the gain map.
 ALPHA_NEG_TOL: float = 1e-9
+
+#: scipy's SuperLU extension, which ``scipy.sparse.linalg.splu`` wraps
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def _splu(matrix: "sp.csc_matrix"):
+    """``scipy.sparse.linalg.splu(matrix)`` with its default options,
+    for a float64 CSC matrix, without importing ``scipy.sparse.linalg``.
+
+    That package loads ``scipy.linalg`` with it, ~10 MB and ~0.1 s of
+    start-up per process; the SuperLU extension alone is loaded instead,
+    through the loader the LP wrapper loads HiGHS with.
+    """
+    import scipy.sparse as sp
+
+    superlu = _load_extension(_SUPERLU, os.path.join(
+        scipy.__path__[0], "sparse", "linalg", "_dsolve"))
+    matrix = sp.csc_matrix(matrix, dtype=float)
+    matrix.sum_duplicates()
+    n = matrix.shape[0]
+    return superlu.gstrf(
+        n, matrix.nnz, matrix.data, matrix.indices.astype(np.intc),
+        matrix.indptr.astype(np.intc), csc_construct_func=sp.csc_array,
+        ilu=False, options=dict(DiagPivotThresh=None, ColPerm=None,
+                                PanelSize=None, Relax=None))
+
 
 #: Default slack of the Eq. 6 redline test: an inlet may exceed its
 #: redline by this many degrees C and still count as feasible.
@@ -165,7 +194,7 @@ class HeatFlowModel:
                 f"unknown thermal backend {backend!r} "
                 "(use 'dense', 'sparse' or 'auto')")
         if backend == "sparse":
-            # imported here, as splu below: dense rooms never need it
+            # imported here, as SuperLU below: dense rooms never need it
             import scipy.sparse as sp
 
             alpha = sp.csr_matrix(alpha, dtype=float)
@@ -216,18 +245,13 @@ class HeatFlowModel:
         #: heat capacity rate of each CRAC stream, kW/K.
         self.crac_capacity = rho * cp * flows[:n_crac]
         if backend == "sparse":
-            # imported here: scipy.sparse.linalg (and scipy.linalg with it)
-            # adds ~10 MB to an import, and dense rooms never factor
-            from scipy.sparse.linalg import splu
-
             # Mixing matrix of Eq. 5 in CSR: A = D_F^-1 alpha^T D_F.
             self.mix = (sp.diags(1.0 / flows) @ alpha.T
                         @ sp.diags(flows)).tocsr()
             a_mm = self.mix[m, m]
             try:
-                self._lu = splu(
-                    (sp.identity(self.n_nodes, format="csc")
-                     - a_mm.tocsc()))
+                self._lu = _splu((sp.identity(self.n_nodes, format="csc")
+                                  - a_mm.tocsc()))
             except RuntimeError as exc:
                 raise ValueError("I - A_MM is singular; recirculation-only "
                                  "air loops are unphysical") from exc

@@ -297,3 +297,46 @@ class TestPostSolveCheck:
             lp.solve()
         sol = lp.solve(require_feasible=False)
         assert sol.status == 4 and np.isnan(sol.objective)
+
+
+class TestLoadedProgram:
+    """A program loaded once and re-solved in place after edits."""
+
+    def _lp(self, rhs=(4.0, 6.0), power=(1.0, 2.0, 1.0)) -> LinearProgram:
+        lp = LinearProgram(name="toy", maximize=True)
+        lp.add_variables(3, lb=0.0, ub=[2.0, 3.0, 4.0],
+                         objective=[3.0, 2.0, 1.0])
+        lp.add_le_rows([[1.0, 1.0, 0.0]], rhs[0])
+        lp.add_le_rows([list(power)], rhs[1])
+        return lp
+
+    def test_first_solve_is_the_cold_objective(self):
+        assert self._lp().load().objective() == self._lp().solve().objective
+
+    def test_edits_solve_the_edited_program(self):
+        loaded = self._lp().load()
+        loaded.objective()
+        for rhs, power in (((3.0, 9.0), (2.0, 1.0, 1.0)),
+                           ((5.0, 5.0), (1.0, 1.0, 0.5))):
+            loaded.set_upper(np.asarray(rhs))
+            loaded.set_row(1, np.asarray(power))
+            assert loaded.objective() == pytest.approx(
+                self._lp(rhs, power).solve().objective, rel=1e-12)
+
+    def test_infeasible_edit_reports_none(self):
+        loaded = self._lp().load()
+        loaded.set_upper(np.asarray([-1.0, 6.0]))
+        assert loaded.objective() is None
+
+    def test_rhs_count_is_checked(self):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            self._lp().load().set_upper(np.asarray([1.0]))
+
+    def test_warm_solves_count_apart_from_cold(self):
+        loaded = self._lp().load()
+        with obs.capture() as snapshot:
+            loaded.objective()
+            loaded.objective()
+        metrics = snapshot()["metrics"]
+        assert metrics["lp.warm_solves.toy"]["value"] == 2
+        assert "lp.solves.toy" not in metrics

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.optimize.search import (coarse_to_fine_search, temperature_grid,
+from repro.optimize.search import (coarse_to_fine_search,
+                                   seeded_coordinate_search, temperature_grid,
                                    uniform_then_coordinate_search)
 
 
@@ -112,3 +113,71 @@ class TestUniformCoordinate:
         res = uniform_then_coordinate_search(obj, 2, 10, 25, step=1.0)
         np.testing.assert_allclose(res.temperatures, 20.0)
 
+
+
+class TestScreenedSearch:
+    """A screening objective within ``SCREEN_DELTA / 2`` of the exact
+    one changes no step of any search and no bit of its result."""
+
+    CENTER = np.asarray([13.0, 21.0])
+
+    def _searches(self):
+        return {
+            "coarse_to_fine": lambda f, **kw: coarse_to_fine_search(
+                f, 2, 10, 25, final_step=1.0, **kw),
+            "uniform_then_coordinate": lambda f, **kw:
+                uniform_then_coordinate_search(f, 2, 10, 25, **kw),
+            "seeded": lambda f, **kw: seeded_coordinate_search(
+                f, np.asarray([18.0, 18.0]), 2, 10, 25, **kw),
+        }
+
+    @staticmethod
+    def _noisy(exact, relative):
+        noise = iter(np.tile([relative, -relative, 0.0], 10_000))
+
+        def screen(t):
+            value = exact(t)
+            return value + next(noise) * max(1.0, abs(value))
+        return screen
+
+    @pytest.mark.parametrize("name", ["coarse_to_fine",
+                                      "uniform_then_coordinate", "seeded"])
+    def test_near_ties_are_decided_on_exact_scores(self, name):
+        # neighbours differ by ~1e-7, far below the screen's noise
+        def exact(t):
+            return 1000.0 - 1e-7 * float(((t - self.CENTER) ** 2).sum())
+
+        calls = []
+
+        def counted(t):
+            calls.append(t.copy())
+            return exact(t)
+
+        search = self._searches()[name]
+        want = search(exact)
+        got = search(self._noisy(exact, 4e-7), exact=counted)
+        assert got.temperatures.tobytes() == want.temperatures.tobytes()
+        assert got.score == want.score
+        assert got.evaluations == want.evaluations
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("name", ["coarse_to_fine",
+                                      "uniform_then_coordinate", "seeded"])
+    def test_clear_decisions_need_only_the_winner_exact(self, name):
+        # off-lattice peak, uneven axes: no two grid points tie
+        def exact(t):
+            return -float((((t - self.CENTER - 0.3) ** 2)
+                           * [100.0, 1.0]).sum())
+
+        calls = []
+
+        def counted(t):
+            calls.append(t.copy())
+            return exact(t)
+
+        search = self._searches()[name]
+        want = search(exact)
+        got = search(self._noisy(exact, 4e-7), exact=counted)
+        assert got.temperatures.tobytes() == want.temperatures.tobytes()
+        assert got.score == want.score
+        assert [c.tobytes() for c in calls] == [want.temperatures.tobytes()]

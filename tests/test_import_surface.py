@@ -4,7 +4,9 @@ The library imports only the scipy it calls: the LP wrapper loads
 ``scipy.optimize._highspy._core`` without running
 ``scipy/optimize/__init__.py`` and hands HiGHS its rows without
 ``scipy.sparse``, which only the sparse thermal backend and the zonal
-Stage 1 import; ``splu`` / ``nnls`` are imported where they are used.
+Stage 1 import.  The sparse backend loads scipy's SuperLU extension by
+itself, through the same loader, rather than ``scipy.sparse.linalg``;
+``nnls`` is imported where it is used.
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported all of scipy.
 """
@@ -15,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -121,28 +124,51 @@ def test_one_highs_module_in_either_import_order(first, second):
 
 
 def test_sparse_model_imports_splu_on_first_build():
+    # the factorization loads the SuperLU extension alone: neither
+    # scipy.sparse.linalg nor scipy.linalg comes with it
     code = ("import sys\n"
             "import numpy as np\n"
             "from repro.thermal.heatflow import HeatFlowModel\n"
-            "before = 'scipy.sparse.linalg' in sys.modules\n"
+            "superlu = 'scipy.sparse.linalg._dsolve._superlu'\n"
+            "before = superlu in sys.modules\n"
             "alpha = np.asarray([[0.0, 1.0], [1.0, 0.0]])\n"
             "HeatFlowModel(alpha, np.asarray([0.5, 0.5]), n_crac=1,\n"
             "              backend='dense')\n"
-            "dense = 'scipy.sparse.linalg' in sys.modules\n"
+            "dense = superlu in sys.modules\n"
             "HeatFlowModel(alpha, np.asarray([0.5, 0.5]), n_crac=1,\n"
             "              backend='sparse')\n"
-            "print(before, dense, 'scipy.sparse.linalg' in sys.modules)\n")
-    assert _run(code) == "False False True"
+            "print(before, dense, superlu in sys.modules,\n"
+            "      'scipy.sparse.linalg' in sys.modules,\n"
+            "      'scipy.linalg' in sys.modules)\n")
+    assert _run(code) == "False False True False False"
+
+
+def test_superlu_factor_solves_as_splu():
+    sp = pytest.importorskip("scipy.sparse")
+    from scipy.sparse.linalg import splu
+
+    from repro.thermal.heatflow import _splu
+
+    rng = np.random.default_rng(3)
+    dense = np.eye(40) - 0.2 * rng.random((40, 40)) * (rng.random((40, 40))
+                                                        < 0.15)
+    matrix = sp.csc_matrix(dense)
+    rhs = rng.random((40, 3))
+    ours, ref = _splu(matrix), splu(matrix)
+    for trans in ("N", "T"):
+        assert (ours.solve(rhs, trans=trans) == ref.solve(rhs,
+                                                           trans=trans)).all()
 
 
 def test_missing_highs_core_names_the_floor(tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, linprog._HIGHS_CORE)
     with pytest.raises(ImportError) as exc:
-        linprog._load_highs_core(str(tmp_path))
+        linprog._load_extension(linprog._HIGHS_CORE, str(tmp_path))
     assert "scipy.optimize._highspy._core" in str(exc.value)
     assert "scipy>=1.15" in str(exc.value)
     assert exc.value.name == "scipy.optimize._highspy._core"
 
 
 def test_loaded_highs_core_is_reused(tmp_path):
-    assert linprog._load_highs_core(str(tmp_path)) is linprog.highs
+    assert linprog._load_extension(linprog._HIGHS_CORE,
+                                   str(tmp_path)) is linprog.highs
